@@ -9,7 +9,7 @@ use crate::seed::repeat_seed;
 use crate::spec::{JobSpec, Scenario};
 use crate::stats::summarize;
 use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, swonly_anatomy};
-use hwdp_core::{HwId, Mode, RunResult, SystemBuilder};
+use hwdp_core::{HwId, Mode, RunResult, System, SystemBuilder};
 use hwdp_os::costs::{OsdpCosts, SwOnlyCosts};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
@@ -142,13 +142,22 @@ fn aggregate_repeats(runs: &[Vec<(String, f64)>]) -> Vec<(String, f64)> {
 
 /// Builds the system described by `spec` and runs its workload.
 pub fn simulate(spec: &JobSpec) -> RunResult {
-    simulate_with_digest(spec).0
+    build_and_run(spec).0
 }
 
 /// Like [`simulate`], but also returns the end-of-run content digest
 /// (`System::content_digest`) — the user-visible storage state the chaos
-/// oracle compares between a faulted run and its fault-free twin.
+/// oracle compares between a faulted run and its fault-free twin. Only
+/// the oracle needs it: the digest reads every page of every file, so
+/// plain runs skip it.
 pub fn simulate_with_digest(spec: &JobSpec) -> (RunResult, u64) {
+    let (result, sys) = build_and_run(spec);
+    (result, sys.content_digest())
+}
+
+/// Builds the system described by `spec`, runs its workload, and returns
+/// the result together with the finished system.
+fn build_and_run(spec: &JobSpec) -> (RunResult, System) {
     let mut builder = SystemBuilder::new(spec.mode)
         .memory_frames(spec.memory_frames)
         .device(spec.device.profile())
@@ -266,8 +275,7 @@ pub fn simulate_with_digest(spec: &JobSpec) -> (RunResult, u64) {
         Scenario::Anatomy => unreachable!("anatomy jobs are closed-form"),
     }
     let result = sys.run(time_cap);
-    let digest = sys.content_digest();
-    (result, digest)
+    (result, sys)
 }
 
 /// Closed-form Fig. 10/17 anatomy metrics (no event simulation).

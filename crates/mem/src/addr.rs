@@ -4,6 +4,7 @@
 //! command reads a 4 KiB block without a PRP list, §V).
 
 use std::fmt;
+use std::rc::Rc;
 
 /// Page size in bytes (4 KiB, the paper's only first-class page size).
 pub const PAGE_SIZE: usize = 4096;
@@ -167,14 +168,19 @@ impl BlockRef {
 /// file) use the O(1) [`PageData::Pattern`] representation, whose bytes are
 /// a pure function of the seed. This keeps multi-GiB-ratio simulations
 /// cheap while still letting integration tests verify every byte.
+///
+/// `Bytes` buffers are shared copy-on-write: cloning a page (a block-store
+/// read, a DMA fill, a writeback snapshot) bumps a reference count, and
+/// the first write through any holder copies the 4 KiB buffer before
+/// changing it, so no other holder ever observes the write.
 #[derive(Clone, PartialEq, Eq)]
 pub enum PageData {
     /// All zeroes (fresh anonymous page / unwritten block).
     Zero,
     /// Deterministic pseudo-random contents generated from a seed.
     Pattern(u64),
-    /// Explicit bytes.
-    Bytes(Box<[u8; PAGE_SIZE]>),
+    /// Explicit bytes, shared copy-on-write.
+    Bytes(Rc<[u8; PAGE_SIZE]>),
 }
 
 impl Default for PageData {
@@ -193,15 +199,15 @@ impl fmt::Debug for PageData {
     }
 }
 
-/// Expands a pattern seed into the byte at `offset` without materializing
-/// the page (SplitMix64 per 8-byte lane).
-fn pattern_byte(seed: u64, offset: usize) -> u8 {
-    let lane = (offset / 8) as u64;
+/// The 8-byte lane `lane` of a pattern page (SplitMix64 of the seed and
+/// lane index); byte `offset` of the page is byte `offset % 8` of lane
+/// `offset / 8`, little-endian.
+fn pattern_lane(seed: u64, lane: u64) -> [u8; 8] {
     let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    z.to_le_bytes()[offset % 8]
+    z.to_le_bytes()
 }
 
 impl PageData {
@@ -215,8 +221,16 @@ impl PageData {
         match self {
             PageData::Zero => buf.fill(0),
             PageData::Pattern(seed) => {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = pattern_byte(*seed, offset + i);
+                // One SplitMix64 per lane touched; the first and last
+                // lanes may be partial.
+                let mut done = 0;
+                while done < buf.len() {
+                    let at = offset + done;
+                    let lane = pattern_lane(*seed, (at / 8) as u64);
+                    let skip = at % 8;
+                    let n = (8 - skip).min(buf.len() - done);
+                    buf[done..done + n].copy_from_slice(&lane[skip..skip + n]);
+                    done += n;
                 }
             }
             PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset..offset + buf.len()]),
@@ -234,15 +248,16 @@ impl PageData {
         bytes[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    /// Converts to an explicit byte buffer and returns it mutably.
+    /// Converts to an explicit byte buffer this page holds alone (copying
+    /// a shared one first) and returns it mutably.
     pub fn materialize(&mut self) -> &mut [u8; PAGE_SIZE] {
         if !matches!(self, PageData::Bytes(_)) {
-            let mut bytes = Box::new([0u8; PAGE_SIZE]);
-            self.read(0, &mut bytes[..]);
-            *self = PageData::Bytes(bytes);
+            let mut bytes = [0u8; PAGE_SIZE];
+            self.read(0, &mut bytes);
+            *self = PageData::Bytes(Rc::new(bytes));
         }
         match self {
-            PageData::Bytes(b) => b,
+            PageData::Bytes(b) => Rc::make_mut(b),
             _ => unreachable!("just materialized"),
         }
     }
@@ -355,6 +370,72 @@ mod tests {
         mat.materialize();
         assert_eq!(pat.checksum(), mat.checksum());
         assert_ne!(pat.checksum(), PageData::Zero.checksum());
+    }
+
+    /// The per-byte expansion the lane-wise `read` replaced: one
+    /// SplitMix64 per byte, keeping byte `offset % 8` of the lane.
+    fn reference_pattern_byte(seed: u64, offset: usize) -> u8 {
+        let lane = (offset / 8) as u64;
+        let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        z.to_le_bytes()[offset % 8]
+    }
+
+    #[test]
+    fn lane_wise_pattern_read_matches_per_byte_reference() {
+        // Every start offset within two lanes and every length up to three
+        // lanes, at the start, middle and end of the page.
+        for seed in [0, 42, u64::MAX] {
+            let p = PageData::Pattern(seed);
+            for base in [0, 2048, PAGE_SIZE - 40] {
+                for skip in 0..16 {
+                    for len in 0..=24 {
+                        let offset = base + skip;
+                        if offset + len > PAGE_SIZE {
+                            continue;
+                        }
+                        let mut got = vec![0u8; len];
+                        p.read(offset, &mut got);
+                        let want: Vec<u8> = (offset..offset + len)
+                            .map(|o| reference_pattern_byte(seed, o))
+                            .collect();
+                        assert_eq!(got, want, "seed {seed} offset {offset} len {len}");
+                    }
+                }
+            }
+            let mut page = [0u8; PAGE_SIZE];
+            p.read(0, &mut page);
+            for (o, b) in page.iter().enumerate() {
+                assert_eq!(*b, reference_pattern_byte(seed, o), "seed {seed} offset {o}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksums_are_pinned() {
+        // Values produced by the per-byte expansion; the lane-wise read
+        // must not move them (they feed the chaos content digest).
+        assert_eq!(PageData::Pattern(0).checksum(), 0x8bc1_c2a9_8661_647b);
+        assert_eq!(PageData::Pattern(42).checksum(), 0x564d_d338_8cb4_8700);
+        assert_eq!(PageData::Pattern(u64::MAX).checksum(), 0x8b78_d660_c558_6ca5);
+        assert_eq!(PageData::Zero.checksum(), 0xb93a_0c83_ce3b_6325);
+    }
+
+    #[test]
+    fn shared_bytes_are_copy_on_write() {
+        let mut a = PageData::Zero;
+        a.write(0, b"original");
+        let mut b = a.clone();
+        let PageData::Bytes(rc) = &a else { panic!("write materializes") };
+        assert_eq!(Rc::strong_count(rc), 2, "a clone shares the buffer");
+        b.write(0, b"changed!");
+        let (mut x, mut y) = ([0u8; 8], [0u8; 8]);
+        a.read(0, &mut x);
+        b.read(0, &mut y);
+        assert_eq!(&x, b"original", "the writer copied before writing");
+        assert_eq!(&y, b"changed!");
     }
 
     #[test]

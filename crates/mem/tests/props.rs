@@ -12,7 +12,42 @@ fn blk(l: u64) -> BlockRef {
     BlockRef::new(SocketId(0), DeviceId(0), Lba(l % (1 << 41)))
 }
 
+/// The per-byte pattern expansion `PageData::read` replaced: one
+/// SplitMix64 per byte, keeping byte `offset % 8` of the lane.
+fn reference_pattern_byte(seed: u64, offset: usize) -> u8 {
+    let lane = (offset / 8) as u64;
+    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    z.to_le_bytes()[offset % 8]
+}
+
+/// FNV-1a over the reference bytes: what `PageData::checksum` returned
+/// when patterns were expanded byte by byte.
+fn reference_checksum(seed: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for o in 0..4096 {
+        h ^= u64::from(reference_pattern_byte(seed, o));
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 proptest! {
+    /// Lane-wise pattern reads equal the per-byte reference at any offset
+    /// and length, and the checksum is unchanged.
+    #[test]
+    fn pattern_read_matches_per_byte_reference(seed: u64, offset in 0usize..4096, len in 0usize..4097) {
+        let len = len.min(4096 - offset);
+        let page = PageData::Pattern(seed);
+        let mut got = vec![0u8; len];
+        page.read(offset, &mut got);
+        let want: Vec<u8> = (offset..offset + len).map(|o| reference_pattern_byte(seed, o)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(page.checksum(), reference_checksum(seed));
+    }
+
     /// For any set of hardware-completed pages, one kpted scan finds each
     /// exactly once and a second scan finds none.
     #[test]

@@ -18,6 +18,7 @@
 //! the queue-pair API exactly like real host software.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use hwdp_mem::addr::{Lba, PageData};
 use hwdp_sim::rng::Prng;
@@ -39,7 +40,12 @@ pub struct QueueId(pub u16);
 /// Tokens order by issue sequence, so hosts can use them as deterministic
 /// map keys for per-command bookkeeping (e.g. timeout watchdogs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct CompletionToken(u64);
+pub struct CompletionToken {
+    seq: u64,
+    /// The command's finish time; `(finish, seq)` is its key in the
+    /// controller's in-flight tables.
+    finish: Time,
+}
 
 /// Why a submission was rejected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,15 +122,13 @@ pub struct DeviceStats {
     pub queue_delay_ns: Running,
 }
 
+/// A command inside the device. Write payloads are applied to the block
+/// store at submission (snapshot semantics), so in-flight state holds no
+/// data.
 struct Inflight {
     qid: QueueId,
     cmd: NvmeCommand,
-    /// Write payloads are applied to the block store at submission
-    /// (snapshot semantics), so in-flight state only needs the direction
-    /// bit for the read/write-interference model — not the data itself.
-    is_write: bool,
     submitted: Time,
-    finish: Time,
     /// Fault decision sampled at submission, honored at completion.
     inject: InjectedFault,
 }
@@ -135,7 +139,12 @@ pub struct NvmeController {
     namespaces: Vec<BlockStore>,
     queues: Vec<QueuePair>,
     channel_free: Vec<Time>,
-    inflight: BTreeMap<u64, Inflight>,
+    /// In-flight writes, and in-flight reads and flushes, keyed by
+    /// `(finish, token sequence)`. Ordering by finish time lets the
+    /// read/write-interference and internal-load terms count the commands
+    /// finishing after `now` with a capped range scan.
+    writes: BTreeMap<(Time, u64), Inflight>,
+    reads: BTreeMap<(Time, u64), Inflight>,
     next_token: u64,
     rng: Prng,
     stats: DeviceStats,
@@ -151,7 +160,8 @@ impl NvmeController {
             namespaces: Vec::new(),
             queues: Vec::new(),
             channel_free: vec![Time::ZERO; profile.channels],
-            inflight: BTreeMap::new(),
+            writes: BTreeMap::new(),
+            reads: BTreeMap::new(),
             next_token: 0,
             rng,
             stats: DeviceStats::default(),
@@ -180,8 +190,9 @@ impl NvmeController {
             return 0;
         }
         self.state = ControllerState::Failed;
-        let lost = self.inflight.len();
-        self.inflight.clear();
+        let lost = self.inflight_count();
+        self.writes.clear();
+        self.reads.clear();
         lost
     }
 
@@ -273,12 +284,22 @@ impl NvmeController {
     /// Number of commands currently being serviced or queued inside the
     /// device.
     pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
+        self.writes.len() + self.reads.len()
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
+    }
+
+    /// In-flight `(writes, commands)` still unfinished at `now`, capped at
+    /// `channels` and `2 × channels`: the read/write-interference and
+    /// internal-load terms of the service-time model.
+    fn outstanding(&self, now: Time) -> (usize, usize) {
+        let cap = 2 * self.profile.channels;
+        let writes = finishing_after(&self.writes, now, cap);
+        let reads = finishing_after(&self.reads, now, cap);
+        (writes.min(self.profile.channels), (writes + reads).min(cap))
     }
 
     /// Host-side submission: writes the command into the ring, rings the
@@ -349,14 +370,7 @@ impl NvmeController {
         // internal parallelism, extra outstanding commands queue rather
         // than further degrade per-command service.
         let channels = self.profile.channels;
-        let outstanding_writes = self
-            .inflight
-            .values()
-            .filter(|f| f.is_write && f.finish > now)
-            .count()
-            .min(channels);
-        let outstanding_total =
-            self.inflight.values().filter(|f| f.finish > now).count().min(2 * channels);
+        let (outstanding_writes, outstanding_total) = self.outstanding(now);
         // The fault decision is sampled once here, on the plan's own RNG
         // stream (the jitter draw below stays byte-identical either way).
         let inject = match self.faults.as_mut() {
@@ -412,12 +426,10 @@ impl NvmeController {
             }
         }
 
-        let token = CompletionToken(self.next_token);
+        let token = CompletionToken { seq: self.next_token, finish };
         self.next_token += 1;
-        self.inflight.insert(
-            token.0,
-            Inflight { qid, cmd: fetched, is_write, submitted: now, finish, inject },
-        );
+        let table = if is_write { &mut self.writes } else { &mut self.reads };
+        table.insert((finish, token.seq), Inflight { qid, cmd: fetched, submitted: now, inject });
         Ok((token, finish))
     }
 
@@ -428,9 +440,13 @@ impl NvmeController {
     /// Returns `None` for an unknown or already-completed token (a late
     /// completion racing watchdog recovery).
     pub fn complete(&mut self, token: CompletionToken, now: Time) -> Option<Completed> {
-        let inflight = self.inflight.remove(&token.0)?;
-        let Inflight { qid, cmd, is_write: _, submitted, finish, inject } = inflight;
-        debug_assert!(now >= finish, "completed before device finished");
+        let key = (token.finish, token.seq);
+        let inflight = match self.reads.remove(&key) {
+            Some(inflight) => inflight,
+            None => self.writes.remove(&key)?,
+        };
+        let Inflight { qid, cmd, submitted, inject } = inflight;
+        debug_assert!(now >= token.finish, "completed before device finished");
         let latency = now - submitted;
 
         let ns_index = cmd.nsid as usize;
@@ -479,6 +495,12 @@ impl NvmeController {
     }
 }
 
+/// How many commands of an in-flight table finish after `now`, counting
+/// at most `cap`: a range scan costing O(log n + cap).
+fn finishing_after(table: &BTreeMap<(Time, u64), Inflight>, now: Time, cap: usize) -> usize {
+    table.range((Bound::Excluded((now, u64::MAX)), Bound::Unbounded)).take(cap).count()
+}
+
 impl NvmeController {
     /// Total doorbell register writes across all queue pairs. Doorbells
     /// only ever increment; the core-layer audit snapshots this between
@@ -517,41 +539,55 @@ impl hwdp_sim::sanitize::Sanitizer for NvmeController {
         report.check_args(
             layer,
             "down-controller-drained",
-            self.state == ControllerState::Ready || self.inflight.is_empty(),
+            self.state == ControllerState::Ready || self.inflight_count() == 0,
             format_args!(
                 "controller is {:?} but still tracks {} in-flight commands",
                 self.state,
-                self.inflight.len()
+                self.inflight_count()
             ),
         );
-        for (&token, inflight) in &self.inflight {
-            report.check_args(
-                layer,
-                "inflight-token",
-                token < self.next_token,
-                format_args!(
-                    "in-flight token {token} was never issued (next is {})",
-                    self.next_token
-                ),
-            );
-            report.check_args(
-                layer,
-                "inflight-times",
-                inflight.finish >= inflight.submitted,
-                format_args!(
-                    "command cid {} finishes at {:?}, before its submission at {:?}",
-                    inflight.cmd.cid, inflight.finish, inflight.submitted
-                ),
-            );
-            report.check_args(
-                layer,
-                "inflight-queue",
-                (inflight.qid.0 as usize) < self.queues.len(),
-                format_args!(
-                    "in-flight command cid {} names unknown queue {:?}",
-                    inflight.cmd.cid, inflight.qid
-                ),
-            );
+        let tables = [(true, &self.writes), (false, &self.reads)];
+        for (writes, table) in tables {
+            for (&(finish, token), inflight) in table {
+                // The interference terms count each table separately, so
+                // a command must sit in the table of its direction.
+                report.check_args(
+                    layer,
+                    "inflight-direction",
+                    (inflight.cmd.opcode == Opcode::Write) == writes,
+                    format_args!(
+                        "in-flight {:?} command cid {} is in the wrong table",
+                        inflight.cmd.opcode, inflight.cmd.cid
+                    ),
+                );
+                report.check_args(
+                    layer,
+                    "inflight-token",
+                    token < self.next_token,
+                    format_args!(
+                        "in-flight token {token} was never issued (next is {})",
+                        self.next_token
+                    ),
+                );
+                report.check_args(
+                    layer,
+                    "inflight-times",
+                    finish >= inflight.submitted,
+                    format_args!(
+                        "command cid {} finishes at {:?}, before its submission at {:?}",
+                        inflight.cmd.cid, finish, inflight.submitted
+                    ),
+                );
+                report.check_args(
+                    layer,
+                    "inflight-queue",
+                    (inflight.qid.0 as usize) < self.queues.len(),
+                    format_args!(
+                        "in-flight command cid {} names unknown queue {:?}",
+                        inflight.cmd.cid, inflight.qid
+                    ),
+                );
+            }
         }
         for (qid, q) in self.queues.iter().enumerate() {
             q.audit(qid, level, report);
@@ -565,7 +601,7 @@ impl std::fmt::Debug for NvmeController {
             .field("profile", &self.profile.name)
             .field("namespaces", &self.namespaces.len())
             .field("queues", &self.queues.len())
-            .field("inflight", &self.inflight.len())
+            .field("inflight", &self.inflight_count())
             .finish()
     }
 }
@@ -827,6 +863,85 @@ mod tests {
         c.finish_reset(Time::ZERO + Duration::from_micros(100));
         assert_eq!(c.doorbell_writes_total(), doorbells, "resets do not un-ring doorbells");
         assert_eq!(c.namespace(1).read_block(Lba(50)), data);
+    }
+
+    /// The full scan the capped range counts replaced.
+    fn reference_outstanding(c: &NvmeController, now: Time) -> (usize, usize) {
+        let channels = c.profile.channels;
+        let all: Vec<(Time, bool)> = c
+            .writes
+            .iter()
+            .chain(&c.reads)
+            .map(|(&(finish, _), f)| (finish, f.cmd.opcode == Opcode::Write))
+            .collect();
+        let writes = all.iter().filter(|&&(finish, w)| w && finish > now).count().min(channels);
+        let total = all.iter().filter(|&&(finish, _)| finish > now).count().min(2 * channels);
+        (writes, total)
+    }
+
+    #[test]
+    fn capped_range_counts_match_full_scan() {
+        use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
+        for seed in 0..64u64 {
+            let mut rng = Prng::seed_from(seed);
+            let mut c = controller();
+            let q = c.create_queue_pair(256);
+            let mut live: Vec<(CompletionToken, Time)> = Vec::new();
+            let mut clock = Time::ZERO;
+            for step in 0..400u16 {
+                // Submissions may name a time ahead of the clock (deferred
+                // and retried I/O) or fall back behind it.
+                let at = clock + Duration::from_nanos(rng.below(40_000));
+                assert_eq!(
+                    c.outstanding(at),
+                    reference_outstanding(&c, at),
+                    "seed {seed} step {step}"
+                );
+                match rng.below(10) {
+                    0..=5 => {
+                        let lba = rng.below(1024);
+                        let result = if rng.below(3) == 0 {
+                            let cmd = NvmeCommand::write4k(step, 1, lba, PhysAddr(0));
+                            c.submit(q, cmd, Some(PageData::Zero), at)
+                        } else {
+                            c.submit(q, NvmeCommand::read4k(step, 1, lba, PhysAddr(0)), None, at)
+                        };
+                        if let Ok(done) = result {
+                            live.push(done);
+                        }
+                    }
+                    6..=8 if !live.is_empty() => {
+                        let i = rng.below(live.len() as u64) as usize;
+                        let (tok, finish) = live.swap_remove(i);
+                        c.complete(tok, finish);
+                        while c.queue(q).host_poll_completion().is_some() {}
+                        clock = clock.max(finish);
+                    }
+                    _ => {
+                        if rng.below(8) == 0 {
+                            c.crash();
+                            c.begin_reset();
+                            c.finish_reset(clock);
+                            live.clear();
+                        }
+                    }
+                }
+                // Probe at random times and exactly at a live command's
+                // finish, which must not count as still outstanding.
+                let probe = match live.get(rng.below(live.len() as u64 + 1) as usize) {
+                    Some(&(_, finish)) => finish,
+                    None => Time::ZERO + Duration::from_nanos(rng.below(200_000)),
+                };
+                assert_eq!(
+                    c.outstanding(probe),
+                    reference_outstanding(&c, probe),
+                    "seed {seed} step {step}"
+                );
+            }
+            let mut report = AuditReport::new();
+            c.sanitize(SanitizeLevel::Full, &mut report);
+            assert!(report.is_clean(), "{:?}", report.violations);
+        }
     }
 
     #[test]

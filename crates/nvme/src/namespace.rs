@@ -131,6 +131,46 @@ mod tests {
     }
 
     #[test]
+    fn frames_and_blocks_share_bytes_copy_on_write() {
+        use hwdp_mem::phys::FramePool;
+        let page = |text: &[u8]| {
+            let mut d = PageData::Zero;
+            d.write(0, text);
+            d
+        };
+        let head = |d: &PageData| {
+            let mut b = [0u8; 5];
+            d.read(0, &mut b);
+            b
+        };
+        let mut s = BlockStore::new(4);
+        let mut frames = FramePool::new(2);
+
+        // Store → frame: a DMA fill shares the block's buffer, and a user
+        // store into the frame leaves the block untouched.
+        s.write_block(Lba(1), page(b"block"));
+        let f = frames.alloc().unwrap();
+        frames.dma_fill(f, s.read_block(Lba(1)));
+        frames.write(f, 0, b"frame");
+        assert_eq!(&head(&s.read_block(Lba(1))), b"block");
+        assert_eq!(&head(&frames.snapshot(f)), b"frame");
+
+        // Frame → store: a writeback snapshot shares the frame's buffer;
+        // later stores into the frame and later writes of the block stay
+        // on their own side.
+        let g = frames.alloc().unwrap();
+        frames.write(g, 0, b"first");
+        s.write_block(Lba(2), frames.snapshot(g));
+        frames.write(g, 0, b"again");
+        assert_eq!(&head(&s.read_block(Lba(2))), b"first");
+        let mut block = s.read_block(Lba(2));
+        block.write(0, b"moved");
+        s.write_block(Lba(2), block);
+        assert_eq!(&head(&frames.snapshot(g)), b"again");
+        assert_eq!(&head(&s.read_block(Lba(2))), b"moved");
+    }
+
+    #[test]
     #[should_panic(expected = "beyond namespace end")]
     fn read_out_of_range_panics() {
         let s = BlockStore::new(4);

@@ -22,7 +22,7 @@
 //! capacity bound, and the system driver cross-checks engine residence
 //! against the file system's per-page location overrides.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use hwdp_nvme::profile::DeviceProfile;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
@@ -114,7 +114,9 @@ pub struct PageView {
 
 /// A placement policy: decides, per epoch, which slow-resident pages to
 /// promote and which fast-resident pages to demote. Implementations must
-/// be deterministic pure functions of the page view and epoch.
+/// be deterministic pure functions of the page view and epoch, and must
+/// never promote a page whose heat is 0: the engine looks for promotion
+/// candidates only among pages with nonzero heat.
 pub trait PlacementPolicy: Send {
     /// Stable policy name for artifacts and reports.
     fn name(&self) -> &'static str;
@@ -261,6 +263,10 @@ pub struct TierEngine {
     policy: Box<dyn PlacementPolicy>,
     /// Tracked pages keyed by home slow LBA.
     pages: BTreeMap<u64, PageState>,
+    /// Keys of the tracked pages whose heat is nonzero. Promotion
+    /// candidates and heat decay only visit these, so a tick costs what
+    /// was accessed recently, not the tracked population.
+    warm: BTreeSet<u64>,
     /// Fast-LBA ownership: fast LBA → page key. Exactly the pages whose
     /// residence is `Fast`/`PromoteInFlight`/`DemoteInFlight` on that LBA.
     fast_map: BTreeMap<u64, u64>,
@@ -291,6 +297,7 @@ impl TierEngine {
             policy: make_policy(cfg.policy),
             cfg,
             pages: BTreeMap::new(),
+            warm: BTreeSet::new(),
             fast_map: BTreeMap::new(),
             next_fast: 0,
             free_fast: Vec::new(),
@@ -365,6 +372,9 @@ impl TierEngine {
         };
         let epoch = self.epoch;
         if let Some(p) = self.pages.get_mut(&key) {
+            if p.heat == 0 {
+                self.warm.insert(key);
+            }
             p.heat = p.heat.saturating_add(1);
             p.last_epoch = epoch;
             if fast {
@@ -384,8 +394,9 @@ impl TierEngine {
         f
     }
 
-    /// One migration-daemon tick: evaluates the policy over every tracked
-    /// page and returns the migrations to start. `eligible` filters pages
+    /// One migration-daemon tick: evaluates the policy over the tracked
+    /// pages with nonzero heat (promotion) and the fast-resident pages
+    /// (demotion) and returns the migrations to start. `eligible` filters pages
     /// the driver cannot safely migrate right now (e.g. resident in the
     /// page cache). Planned pages are marked in flight; the driver must
     /// later [`TierEngine::commit`] or [`TierEngine::abort`] each one.
@@ -406,20 +417,20 @@ impl TierEngine {
     ) {
         let epoch = self.epoch;
 
-        // Promotion candidates: hottest first, key order tie-break.
+        // Promotion candidates: hottest first, key order tie-break. No
+        // policy promotes a page with heat 0, so the warm set holds every
+        // candidate.
         let mut cands = std::mem::take(&mut self.scratch_cands);
-        cands.extend(
-            self.pages
-                .iter()
-                .filter(|(k, p)| {
-                    matches!(p.residence, TierResidence::Slow)
-                        && self.policy.promote(
-                            &PageView { key: **k, heat: p.heat, last_epoch: p.last_epoch },
-                            epoch,
-                        )
-                })
-                .map(|(k, p)| (p.heat, *k)),
-        );
+        for &key in &self.warm {
+            let Some(p) = self.pages.get(&key) else { continue };
+            if matches!(p.residence, TierResidence::Slow)
+                && self
+                    .policy
+                    .promote(&PageView { key, heat: p.heat, last_epoch: p.last_epoch }, epoch)
+            {
+                cands.push((p.heat, key));
+            }
+        }
         cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let limit = self.fast_limit();
@@ -450,12 +461,12 @@ impl TierEngine {
         // under promotion pressure) forced demotions of the coldest
         // fast-resident pages to make room for the next tick.
         let mut fast_resident = std::mem::take(&mut self.scratch_views);
-        fast_resident.extend(
-            self.pages
-                .iter()
-                .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
-                .map(|(k, p)| PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch }),
-        );
+        for &key in self.fast_map.values() {
+            let Some(p) = self.pages.get(&key) else { continue };
+            if matches!(p.residence, TierResidence::Fast(_)) {
+                fast_resident.push(PageView { key, heat: p.heat, last_epoch: p.last_epoch });
+            }
+        }
         let mut victims = std::mem::take(&mut self.scratch_victims);
         for v in &fast_resident {
             match self.policy.demote(v, epoch) {
@@ -499,9 +510,13 @@ impl TierEngine {
             (self.fast_hits - self.counted_hits.0, self.slow_hits - self.counted_hits.1);
         self.epoch_hits.push(delta);
         self.counted_hits = (self.fast_hits, self.slow_hits);
-        for p in self.pages.values_mut() {
-            p.heat /= 2;
-        }
+        let pages = &mut self.pages;
+        self.warm.retain(|key| {
+            pages.get_mut(key).is_some_and(|p| {
+                p.heat /= 2;
+                p.heat > 0
+            })
+        });
         self.epoch += 1;
     }
 
@@ -657,7 +672,17 @@ impl Sanitizer for TierEngine {
                 format_args!("fast LBA {f} maps to page {key} whose residence does not own it"),
             );
         }
+        // tier-warm-set: the warm set is exactly the pages with nonzero
+        // heat, or promotion planning would miss candidates.
+        let mut warm = 0usize;
         for (key, p) in &self.pages {
+            warm += usize::from(p.heat > 0);
+            report.check_args(
+                "tier",
+                "tier-warm-set",
+                (p.heat > 0) == self.warm.contains(key),
+                format_args!("page {key} has heat {} but warm-set membership disagrees", p.heat),
+            );
             let (claimed, lba) = match p.residence {
                 TierResidence::Slow => (false, 0),
                 TierResidence::Fast(f)
@@ -687,12 +712,19 @@ impl Sanitizer for TierEngine {
                 );
             }
         }
+        report.check_args(
+            "tier",
+            "tier-warm-set",
+            warm == self.warm.len(),
+            format_args!("warm set holds {} keys, {warm} pages have nonzero heat", self.warm.len()),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwdp_sim::sanitize::AuditReport;
 
     fn cfg(policy: PolicyKind) -> TierConfig {
         TierConfig {
@@ -950,6 +982,186 @@ mod tests {
             "expected tier-fast-owner-unique, got {:?}",
             report.violations
         );
+    }
+
+    /// The full-scan planner the warm set replaced: every tracked page is
+    /// a promotion candidate, fast residents come from `pages`, and heat
+    /// decays over every page.
+    fn reference_plan_tick(
+        e: &mut TierEngine,
+        mut eligible: impl FnMut(u64) -> bool,
+        plans: &mut Vec<MigrationPlan>,
+    ) {
+        let epoch = e.epoch;
+        let mut cands: Vec<(u32, u64)> = e
+            .pages
+            .iter()
+            .filter(|(k, p)| {
+                matches!(p.residence, TierResidence::Slow)
+                    && e.policy.promote(
+                        &PageView { key: **k, heat: p.heat, last_epoch: p.last_epoch },
+                        epoch,
+                    )
+            })
+            .map(|(k, p)| (p.heat, *k))
+            .collect();
+        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let limit = e.fast_limit();
+        let (mut promoted, mut overflow) = (0usize, 0usize);
+        for (_, key) in cands {
+            if promoted >= e.cfg.batch || e.fast_map.len() >= limit {
+                overflow += 1;
+                continue;
+            }
+            if !eligible(key) {
+                continue;
+            }
+            let f = e.alloc_fast();
+            e.fast_map.insert(f, key);
+            if let Some(p) = e.pages.get_mut(&key) {
+                p.residence = TierResidence::PromoteInFlight(f);
+            }
+            plans.push(MigrationPlan::Promote { key, fast_lba: f });
+            promoted += 1;
+        }
+        let fast_resident: Vec<PageView> = e
+            .pages
+            .iter()
+            .filter(|(_, p)| matches!(p.residence, TierResidence::Fast(_)))
+            .map(|(k, p)| PageView { key: *k, heat: p.heat, last_epoch: p.last_epoch })
+            .collect();
+        let mut victims = Vec::new();
+        for v in &fast_resident {
+            match e.policy.demote(v, epoch) {
+                Some(score) => victims.push((0u8, score, v.key)),
+                None if overflow > 0 => {
+                    let score = ((v.heat as u64) << 32) | (v.last_epoch & 0xFFFF_FFFF);
+                    victims.push((1, score, v.key));
+                }
+                None => {}
+            }
+        }
+        victims.sort_unstable();
+        let (mut demoted, mut forced) = (0usize, 0usize);
+        for (kind, _, key) in victims {
+            if demoted >= e.cfg.batch {
+                break;
+            }
+            if kind == 1 {
+                if forced >= overflow {
+                    continue;
+                }
+                forced += 1;
+            }
+            if !eligible(key) {
+                continue;
+            }
+            let Some(p) = e.pages.get_mut(&key) else { continue };
+            let TierResidence::Fast(f) = p.residence else { continue };
+            p.residence = TierResidence::DemoteInFlight(f);
+            plans.push(MigrationPlan::Demote { key, fast_lba: f });
+            demoted += 1;
+        }
+        let delta = (e.fast_hits - e.counted_hits.0, e.slow_hits - e.counted_hits.1);
+        e.epoch_hits.push(delta);
+        e.counted_hits = (e.fast_hits, e.slow_hits);
+        for p in e.pages.values_mut() {
+            p.heat /= 2;
+        }
+        e.epoch += 1;
+    }
+
+    /// Everything a plan can depend on: per-page state and the fast map.
+    type EngineState = (Vec<(u64, TierResidence, u32, u64)>, Vec<(u64, u64)>);
+
+    fn state(e: &TierEngine) -> EngineState {
+        (
+            e.pages.iter().map(|(k, p)| (*k, p.residence, p.heat, p.last_epoch)).collect(),
+            e.fast_map.iter().map(|(f, k)| (*f, *k)).collect(),
+        )
+    }
+
+    #[test]
+    fn warm_set_plans_match_full_scan() {
+        use hwdp_sim::rng::Prng;
+        for kind in PolicyKind::ALL {
+            for seed in 0..24u64 {
+                let mut rng = Prng::seed_from(seed);
+                let n = 8 + rng.below(120);
+                let mut c = cfg(kind);
+                c.cap_pct = 5 + rng.below(40) as u32;
+                c.batch = 1 + rng.below(6) as usize;
+                let (mut fast, mut slow) = (TierEngine::new(c), TierEngine::new(c));
+                for k in 0..n {
+                    fast.register(k);
+                    slow.register(k);
+                }
+                let mut in_flight: Vec<u64> = Vec::new();
+                for tick in 0..60u64 {
+                    // Skewed accesses: a hot prefix plus uniform noise,
+                    // through either tier's LBA space.
+                    for _ in 0..rng.below(3 * n) {
+                        let key =
+                            if rng.below(2) == 0 { rng.below(n / 4 + 1) } else { rng.below(n) };
+                        match fast.residence_of(key) {
+                            Some(TierResidence::Fast(f)) => {
+                                fast.record_access(true, f);
+                                slow.record_access(true, f);
+                            }
+                            _ => {
+                                fast.record_access(false, key);
+                                slow.record_access(false, key);
+                            }
+                        }
+                    }
+                    // Settle earlier migrations: mostly commits, some aborts.
+                    for key in in_flight.drain(..) {
+                        if rng.below(5) == 0 {
+                            fast.abort(key);
+                            slow.abort(key);
+                        } else {
+                            assert_eq!(fast.commit(key), slow.commit(key));
+                        }
+                    }
+                    let salt = rng.next_u64();
+                    let eligible = |key: u64| (key ^ salt) % 7 != 0;
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    fast.plan_tick_into(eligible, &mut got);
+                    reference_plan_tick(&mut slow, eligible, &mut want);
+                    assert_eq!(got, want, "{} seed {seed} tick {tick}", kind.name());
+                    assert_eq!(
+                        state(&fast),
+                        state(&slow),
+                        "{} seed {seed} tick {tick}",
+                        kind.name()
+                    );
+                    in_flight.extend(got.iter().map(|p| p.key()));
+                }
+                assert_eq!(fast.report(), slow.report());
+                let mut report = AuditReport::new();
+                fast.sanitize(SanitizeLevel::Full, &mut report);
+                assert!(report.is_clean(), "{:?}", report.violations);
+            }
+        }
+    }
+
+    #[test]
+    fn no_policy_promotes_a_cold_page() {
+        // The warm set holds only pages with nonzero heat, so a policy
+        // that promoted a heat-0 page would silently lose candidates.
+        for kind in PolicyKind::ALL {
+            let policy = make_policy(kind);
+            for epoch in 0..8 {
+                for last_epoch in 0..8 {
+                    let page = PageView { key: epoch * 8 + last_epoch, heat: 0, last_epoch };
+                    assert!(
+                        !policy.promote(&page, epoch),
+                        "{} promotes a heat-0 page",
+                        kind.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
