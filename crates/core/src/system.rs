@@ -778,7 +778,7 @@ impl System {
                 // (not dropped), so the next read recycles its allocation.
                 let step = t.workload.next(t.last_read.as_deref());
                 step.validate();
-                if matches!(step, Step::Read { .. }) {
+                if matches!(step, Step::Read { .. } | Step::Touch { .. }) {
                     t.read_start = Some(now);
                 }
                 step
@@ -807,7 +807,7 @@ impl System {
                 self.hw[hw.0].state = HwThreadState::Active;
                 self.queue.schedule(now + dt, Event::Step(tid));
             }
-            Step::Read { .. } | Step::Write { .. } => {
+            Step::Read { .. } | Step::Touch { .. } | Step::Write { .. } => {
                 self.execute_access(tid, hw, step, now);
             }
             Step::Finish => {
@@ -830,10 +830,8 @@ impl System {
     }
 
     fn execute_access(&mut self, tid: ThreadId, hw: HwId, step: Step, now: Time) {
-        let (region, offset) = match &step {
-            Step::Read { region, offset, .. } => (*region, *offset),
-            Step::Write { region, offset, .. } => (*region, *offset),
-            _ => unreachable!("execute_access only handles accesses"),
+        let Some((region, offset)) = step.target() else {
+            unreachable!("execute_access only handles accesses")
         };
         let Some(vpn) = self.region_vpn(region, offset) else {
             // The region vanished under the thread (access/unmap race in
@@ -882,16 +880,19 @@ impl System {
 
         // Resident: perform the access against real frame contents.
         match &step {
-            Step::Read { len, .. } => {
-                // Recycle the thread's previous read buffer instead of
-                // allocating one per access (the hottest line in the run).
-                let mut buf = self.threads[tid.0].last_read.take().unwrap_or_default();
-                buf.clear();
-                buf.resize(*len as usize, 0);
-                self.os.frames.read(pfn, (offset % 4096) as usize, &mut buf);
+            Step::Read { len, .. } | Step::Touch { len, .. } => {
+                if matches!(step, Step::Read { .. }) {
+                    // Recycle the thread's previous read buffer instead of
+                    // allocating one per access (the hottest line in the
+                    // run). A touch copies nothing and keeps `last_read`.
+                    let mut buf = self.threads[tid.0].last_read.take().unwrap_or_default();
+                    buf.clear();
+                    buf.resize(*len as usize, 0);
+                    self.os.frames.read(pfn, (offset % 4096) as usize, &mut buf);
+                    self.threads[tid.0].last_read = Some(buf);
+                }
                 t += if *len > 64 { ACCESS_4K } else { ACCESS_SMALL };
                 let thread = &mut self.threads[tid.0];
-                thread.last_read = Some(buf);
                 if let Some(start) = thread.read_start.take() {
                     thread.read_hist.record(t - start);
                 }
@@ -1859,13 +1860,9 @@ impl System {
         self.smu_fallbacks_fault += 1;
         for waiter in e.waiters {
             let tid = ThreadId(waiter as usize);
-            if let Some(step) = &self.threads[tid.0].current {
-                if let Step::Read { region, offset, .. } | Step::Write { region, offset, .. } = step
-                {
-                    if let Some(vpn) = self.region_vpn(*region, *offset) {
-                        self.force_osdp.insert(vpn.0);
-                    }
-                }
+            let target = self.threads[tid.0].current.as_ref().and_then(Step::target);
+            if let Some(vpn) = target.and_then(|(region, offset)| self.region_vpn(region, offset)) {
+                self.force_osdp.insert(vpn.0);
             }
             match self.threads[tid.0].state {
                 ThreadState::Stalled(hw) => {
@@ -2666,6 +2663,66 @@ mod tests {
             result.export_metrics().iter().all(|(n, _)| *n != "sanitize_violations"),
             "clean runs export no violation metric (seed parity)"
         );
+    }
+
+    /// `FioRandRead` issuing the `Step::Read` its `Step::Touch` replaced:
+    /// the same RNG stream, with every load's bytes copied back.
+    struct ReadingFio(FioRandRead);
+
+    impl Workload for ReadingFio {
+        fn next(&mut self, last_read: Option<&[u8]>) -> Step {
+            match self.0.next(last_read) {
+                Step::Touch { region, offset, len } => Step::Read { region, offset, len },
+                step => step,
+            }
+        }
+
+        fn ops_done(&self) -> u64 {
+            self.0.ops_done()
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn fio_touch_times_exactly_like_the_read_it_replaced() {
+        for mode in [Mode::Osdp, Mode::Hwdp] {
+            for threads in [1u64, 8] {
+                let run = |reading: bool| {
+                    let mut sys = SystemBuilder::new(mode).memory_frames(128).seed(5).build();
+                    let file = sys.create_pattern_file("fio", 1024);
+                    let region = sys.map_file(file);
+                    for i in 0..threads {
+                        let fio = FioRandRead::new(region, 1024, 150, Prng::seed_from(0xF10 + i));
+                        let w: Box<dyn Workload> =
+                            if reading { Box::new(ReadingFio(fio)) } else { Box::new(fio) };
+                        sys.spawn(w, 1.8, None);
+                    }
+                    let result = sys.run(Duration::from_millis(500));
+                    let delivered = sys.threads.iter().filter(|t| t.last_read.is_some()).count();
+                    (result, delivered)
+                };
+                let ((touch, touch_delivered), (read, read_delivered)) = (run(false), run(true));
+                let label = format!("{mode:?} x{threads}");
+                assert_eq!(touch.export_metrics(), read.export_metrics(), "{label}");
+                assert_eq!(touch.events_processed, read.events_processed, "{label}");
+                assert_eq!(touch.read_latency.count(), threads * 150, "{label}");
+                for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                    assert_eq!(
+                        touch.read_latency.percentile(q),
+                        read.read_latency.percentile(q),
+                        "{label} q={q}"
+                    );
+                }
+                for (a, b) in touch.threads.iter().zip(&read.threads) {
+                    assert_eq!(a.export_metrics(), b.export_metrics(), "{label}");
+                }
+                assert_eq!(touch_delivered, 0, "{label}: a touch leaves last_read at None");
+                assert_eq!(read_delivered, threads as usize, "{label}: the twin does read");
+            }
+        }
     }
 
     #[test]

@@ -161,13 +161,25 @@ impl BlockRef {
     }
 }
 
+/// Bytes a [`PageData::Head`] page holds inline: one MiniDB record header
+/// (24 bytes), which also covers an 8-byte scratch counter.
+pub const HEAD_LEN: usize = 24;
+
 /// Contents of a 4 KiB page or storage block.
 ///
 /// Real byte buffers are only materialized when a workload actually writes
-/// distinct data; read-only synthetic datasets (e.g. FIO's pre-generated
-/// file) use the O(1) [`PageData::Pattern`] representation, whose bytes are
-/// a pure function of the seed. This keeps multi-GiB-ratio simulations
-/// cheap while still letting integration tests verify every byte.
+/// distinct data past the first [`HEAD_LEN`] bytes; read-only synthetic
+/// datasets (e.g. FIO's pre-generated file) use the O(1)
+/// [`PageData::Pattern`] representation, whose bytes are a pure function
+/// of the seed, and pages whose only non-zero bytes are a small header
+/// (MiniDB records, scratch counters) stay [`PageData::Head`]. This keeps
+/// multi-GiB-ratio simulations cheap while still letting integration tests
+/// verify every byte.
+///
+/// The representation rule: a write keeps a `Zero` or `Head` page inline
+/// when it ends at or before byte [`HEAD_LEN`]; any other write
+/// materializes `Bytes`. Reads, [`PageData::materialize`] and
+/// [`PageData::checksum`] see every representation as its 4096 bytes.
 ///
 /// `Bytes` buffers are shared copy-on-write: cloning a page (a block-store
 /// read, a DMA fill, a writeback snapshot) bumps a reference count, and
@@ -179,6 +191,8 @@ pub enum PageData {
     Zero,
     /// Deterministic pseudo-random contents generated from a seed.
     Pattern(u64),
+    /// The first [`HEAD_LEN`] bytes, held inline; every later byte is zero.
+    Head([u8; HEAD_LEN]),
     /// Explicit bytes, shared copy-on-write.
     Bytes(Rc<[u8; PAGE_SIZE]>),
 }
@@ -194,6 +208,7 @@ impl fmt::Debug for PageData {
         match self {
             PageData::Zero => write!(f, "PageData::Zero"),
             PageData::Pattern(s) => write!(f, "PageData::Pattern({s:#x})"),
+            PageData::Head(h) => write!(f, "PageData::Head({h:02x?})"),
             PageData::Bytes(_) => write!(f, "PageData::Bytes(..)"),
         }
     }
@@ -208,6 +223,34 @@ fn pattern_lane(seed: u64, lane: u64) -> [u8; 8] {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     z.to_le_bytes()
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^n` (wrapping): FNV-1a over `n` zero bytes multiplies the
+/// hash by exactly this, since XOR with zero is the identity.
+const fn fnv_prime_pow(n: usize) -> u64 {
+    let mut acc = 1u64;
+    let mut i = 0;
+    while i < n {
+        acc = acc.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    acc
+}
+
+/// FNV-1a state after a whole zero page.
+const FNV_ZERO_PAGE: u64 = FNV_OFFSET.wrapping_mul(fnv_prime_pow(PAGE_SIZE));
+/// The zero tail after a `Head` page's inline bytes.
+const FNV_ZERO_TAIL: u64 = fnv_prime_pow(PAGE_SIZE - HEAD_LEN);
+
+fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 impl PageData {
@@ -233,19 +276,36 @@ impl PageData {
                     done += n;
                 }
             }
+            PageData::Head(head) => {
+                let inline = head.get(offset..).unwrap_or_default();
+                let n = inline.len().min(buf.len());
+                buf[..n].copy_from_slice(&inline[..n]);
+                buf[n..].fill(0);
+            }
             PageData::Bytes(bytes) => buf.copy_from_slice(&bytes[offset..offset + buf.len()]),
         }
     }
 
-    /// Writes `data` at `offset`, materializing a byte buffer if needed.
+    /// Writes `data` at `offset`. A `Zero` or `Head` page stays inline
+    /// when the write ends at or before byte [`HEAD_LEN`]; anything else
+    /// materializes a byte buffer.
     ///
     /// # Panics
     ///
     /// Panics if `offset + data.len()` exceeds [`PAGE_SIZE`].
     pub fn write(&mut self, offset: usize, data: &[u8]) {
-        assert!(offset + data.len() <= PAGE_SIZE, "write beyond page");
-        let bytes = self.materialize();
-        bytes[offset..offset + data.len()].copy_from_slice(data);
+        let end = offset + data.len();
+        assert!(end <= PAGE_SIZE, "write beyond page");
+        if end <= HEAD_LEN {
+            if let PageData::Zero = self {
+                *self = PageData::Head([0; HEAD_LEN]);
+            }
+            if let PageData::Head(head) = self {
+                head[offset..end].copy_from_slice(data);
+                return;
+            }
+        }
+        self.materialize()[offset..end].copy_from_slice(data);
     }
 
     /// Converts to an explicit byte buffer this page holds alone (copying
@@ -262,22 +322,17 @@ impl PageData {
         }
     }
 
-    /// A cheap 64-bit checksum of the page contents (FNV-1a over bytes for
-    /// `Bytes`, closed-form for `Zero`/`Pattern` — consistent across
-    /// representations).
+    /// A cheap 64-bit checksum of the page contents: FNV-1a over its 4096
+    /// bytes, consistent across representations. `Zero` and the zero tail
+    /// of `Head` are closed-form; `Pattern` walks its lanes directly.
     pub fn checksum(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut tmp = [0u8; 64];
-        for chunk_start in (0..PAGE_SIZE).step_by(64) {
-            self.read(chunk_start, &mut tmp);
-            for &b in &tmp {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
+        match self {
+            PageData::Zero => FNV_ZERO_PAGE,
+            PageData::Head(head) => fnv_bytes(FNV_OFFSET, head).wrapping_mul(FNV_ZERO_TAIL),
+            PageData::Pattern(seed) => (0..(PAGE_SIZE / 8) as u64)
+                .fold(FNV_OFFSET, |h, lane| fnv_bytes(h, &pattern_lane(*seed, lane))),
+            PageData::Bytes(bytes) => fnv_bytes(FNV_OFFSET, &bytes[..]),
         }
-        h
     }
 }
 
@@ -425,17 +480,78 @@ mod tests {
 
     #[test]
     fn shared_bytes_are_copy_on_write() {
+        // The write runs past the inline head, so it materializes `Bytes`.
         let mut a = PageData::Zero;
-        a.write(0, b"original");
+        a.write(HEAD_LEN, b"original");
         let mut b = a.clone();
         let PageData::Bytes(rc) = &a else { panic!("write materializes") };
         assert_eq!(Rc::strong_count(rc), 2, "a clone shares the buffer");
-        b.write(0, b"changed!");
+        b.write(HEAD_LEN, b"changed!");
         let (mut x, mut y) = ([0u8; 8], [0u8; 8]);
-        a.read(0, &mut x);
-        b.read(0, &mut y);
+        a.read(HEAD_LEN, &mut x);
+        b.read(HEAD_LEN, &mut y);
         assert_eq!(&x, b"original", "the writer copied before writing");
         assert_eq!(&y, b"changed!");
+    }
+
+    #[test]
+    fn head_writes_stay_inline_and_clones_are_independent() {
+        let mut a = PageData::Zero;
+        a.write(0, b"original");
+        a.write(HEAD_LEN - 4, b"tail");
+        assert!(matches!(a, PageData::Head(_)), "a write ending by byte 24 stays inline");
+        let mut b = a.clone();
+        b.write(0, b"changed!");
+        let (mut x, mut y) = ([0u8; HEAD_LEN + 8], [0u8; HEAD_LEN + 8]);
+        a.read(0, &mut x);
+        b.read(0, &mut y);
+        assert_eq!(&x[..8], b"original", "the clone's write did not reach the source");
+        assert_eq!(&y[..8], b"changed!");
+        assert_eq!(&x[HEAD_LEN - 4..HEAD_LEN], b"tail");
+        assert_eq!(&x[HEAD_LEN..], &[0u8; 8], "bytes past the head read zero");
+        let mut far = [0xFFu8; 16];
+        a.read(100, &mut far);
+        assert_eq!(far, [0u8; 16]);
+        let mut mat = a.clone();
+        mat.materialize();
+        assert_eq!(a.checksum(), mat.checksum());
+        a.write(HEAD_LEN - 1, b"xy");
+        assert!(matches!(a, PageData::Bytes(_)), "a write past byte 24 materializes");
+        assert_eq!(&a.materialize()[..4], b"orig");
+    }
+
+    /// FNV-1a over the page's bytes as `read` returns them: the byte walk
+    /// the closed-form `checksum` replaced.
+    fn reference_checksum(page: &PageData) -> u64 {
+        let mut bytes = [0u8; PAGE_SIZE];
+        page.read(0, &mut bytes);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    #[test]
+    fn closed_form_checksum_matches_byte_walk() {
+        let mut head = PageData::Zero;
+        head.write(0, &[0xA5; HEAD_LEN]);
+        let mut zero_head = PageData::Zero;
+        zero_head.write(3, &[0; 5]);
+        let mut bytes = PageData::Pattern(5);
+        bytes.write(4000, b"bytes");
+        for page in [
+            PageData::Zero,
+            PageData::Pattern(0),
+            PageData::Pattern(42),
+            PageData::Pattern(u64::MAX),
+            head,
+            zero_head,
+            bytes,
+        ] {
+            assert_eq!(page.checksum(), reference_checksum(&page), "{page:?}");
+        }
     }
 
     #[test]

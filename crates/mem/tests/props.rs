@@ -2,7 +2,7 @@
 //! under random operation sequences, TLB coherence, and page-data
 //! round-trips.
 
-use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, SocketId, Vpn};
+use hwdp_mem::addr::{BlockRef, DeviceId, Lba, PageData, Pfn, SocketId, Vpn, HEAD_LEN, PAGE_SIZE};
 use hwdp_mem::page_table::PageTable;
 use hwdp_mem::pte::{Pte, PteClass, PteFlags};
 use hwdp_mem::tlb::Tlb;
@@ -23,18 +23,102 @@ fn reference_pattern_byte(seed: u64, offset: usize) -> u8 {
     z.to_le_bytes()[offset % 8]
 }
 
-/// FNV-1a over the reference bytes: what `PageData::checksum` returned
-/// when patterns were expanded byte by byte.
-fn reference_checksum(seed: u64) -> u64 {
+/// FNV-1a over `bytes`, walked byte by byte.
+fn fnv(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for o in 0..4096 {
-        h ^= u64::from(reference_pattern_byte(seed, o));
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }
 
+/// FNV-1a over the reference bytes: what `PageData::checksum` returned
+/// when patterns were expanded byte by byte.
+fn reference_checksum(seed: u64) -> u64 {
+    let bytes: Vec<u8> = (0..PAGE_SIZE).map(|o| reference_pattern_byte(seed, o)).collect();
+    fnv(&bytes)
+}
+
+/// A page in each representation, and its bytes.
+fn start_page(kind: usize, seed: u64) -> (PageData, [u8; PAGE_SIZE]) {
+    let page = match kind {
+        0 => PageData::Zero,
+        1 => PageData::Pattern(seed),
+        2 => {
+            let mut head = [0u8; HEAD_LEN];
+            head.copy_from_slice(&seed.to_le_bytes().repeat(3));
+            PageData::Head(head)
+        }
+        _ => {
+            let mut p = PageData::Pattern(seed);
+            p.materialize();
+            p
+        }
+    };
+    let mut bytes = [0u8; PAGE_SIZE];
+    page.read(0, &mut bytes);
+    (page, bytes)
+}
+
+/// One access of a random page program, drawn raw: `((write, kind),
+/// offset, len, fill)`. See [`shape`].
+fn access() -> impl Strategy<Value = ((bool, u8), usize, usize, u8)> {
+    ((any::<bool>(), 0u8..3), 0usize..PAGE_SIZE, 0usize..PAGE_SIZE + 1, any::<u8>())
+}
+
+/// The in-page `(offset, len)` of a raw access of `kind`: 0 anywhere in
+/// the page, 1 within the first `2 * HEAD_LEN` bytes, 2 ending exactly at
+/// byte `HEAD_LEN` or `HEAD_LEN + 1` (either side of the inline rule).
+fn shape(kind: u8, offset: usize, len: usize) -> (usize, usize) {
+    match kind {
+        0 => (offset, len.min(PAGE_SIZE - offset)),
+        1 => (offset % (HEAD_LEN + 1), len % (HEAD_LEN + 1)),
+        _ => {
+            let end = HEAD_LEN + len % 2;
+            let offset = offset % (end + 1);
+            (offset, end - offset)
+        }
+    }
+}
+
 proptest! {
+    /// Any sequence of writes and reads, at any offset and length, on a
+    /// page that starts in any representation, reads back exactly what a
+    /// plain 4 KiB byte array holds, checksums the same, and is `Head`
+    /// exactly when it started `Zero`/`Head` and every write (at least
+    /// one, for a `Zero` start) ended at or before byte `HEAD_LEN`.
+    #[test]
+    fn page_program_matches_byte_array(
+        kind in 0usize..4,
+        seed: u64,
+        program in prop::collection::vec(access(), 0..12),
+    ) {
+        let (mut page, mut model) = start_page(kind, seed);
+        let mut inline = kind == 2;
+        let mut inline_possible = kind == 0 || kind == 2;
+        for (i, &((write, kind), offset, len, fill)) in program.iter().enumerate() {
+            let (offset, len) = shape(kind, offset, len);
+            if write {
+                let data: Vec<u8> = (0..len).map(|j| fill.wrapping_add(j as u8)).collect();
+                page.write(offset, &data);
+                model[offset..offset + len].copy_from_slice(&data);
+                inline_possible &= offset + len <= HEAD_LEN;
+                inline = inline_possible;
+            } else {
+                let mut got = vec![0u8; len];
+                page.read(offset, &mut got);
+                prop_assert_eq!(&got[..], &model[offset..offset + len], "step {}", i);
+            }
+        }
+        prop_assert_eq!(matches!(page, PageData::Head(_)), inline, "{:?}", page);
+        let mut all = [0u8; PAGE_SIZE];
+        page.read(0, &mut all);
+        prop_assert_eq!(&all[..], &model[..]);
+        prop_assert_eq!(page.checksum(), fnv(&model));
+        prop_assert_eq!(&page.clone().materialize()[..], &model[..]);
+    }
+
     /// Lane-wise pattern reads equal the per-byte reference at any offset
     /// and length, and the checksum is unchanged.
     #[test]

@@ -2,9 +2,11 @@
 //! file (the paper's demand-paging microbenchmark, Figs. 12/13/16).
 //!
 //! Each operation is a tiny amount of user work (loop bookkeeping) plus a
-//! 4 KiB load from a uniformly random page. With the file far larger than
-//! memory (or cold), nearly every read is a page miss — exactly the
-//! behavior the paper uses to expose raw demand-paging latency.
+//! 4 KiB load from a uniformly random page. FIO never inspects what it
+//! loads, so the load is a [`Step::Touch`]: the full access, no bytes
+//! copied back. With the file far larger than memory (or cold), nearly
+//! every read is a page miss — exactly the behavior the paper uses to
+//! expose raw demand-paging latency.
 
 use hwdp_sim::rng::Prng;
 
@@ -73,7 +75,7 @@ impl Workload for FioRandRead {
                 self.state = State::Compute;
                 self.ops_done += 1;
                 let page = self.rng.below(self.pages);
-                Step::Read { region: self.region, offset: page * 4096, len: 4096 }
+                Step::Touch { region: self.region, offset: page * 4096, len: 4096 }
             }
         }
     }
@@ -111,7 +113,7 @@ mod tests {
         // 3 × (Compute, Read) + Finish.
         assert_eq!(steps.len(), 7);
         assert!(matches!(steps[0], Step::Compute { .. }));
-        assert!(matches!(steps[1], Step::Read { .. }));
+        assert!(matches!(steps[1], Step::Touch { .. }));
         assert!(matches!(steps[6], Step::Finish));
         assert_eq!(f.ops_done(), 3);
     }
@@ -125,7 +127,7 @@ mod tests {
                 break;
             }
             s.validate();
-            if let Step::Read { offset, len, .. } = s {
+            if let Step::Touch { offset, len, .. } = s {
                 assert_eq!(offset % 4096, 0);
                 assert_eq!(len, 4096);
                 assert!(offset / 4096 < 1000);
@@ -149,7 +151,7 @@ mod tests {
         loop {
             match f.next(None) {
                 Step::Finish => break,
-                Step::Read { offset, .. } => {
+                Step::Touch { offset, .. } => {
                     pages.insert(offset / 4096);
                 }
                 _ => {}
@@ -209,7 +211,7 @@ impl Workload for FioSeqRead {
                 self.ops_done += 1;
                 let page = self.next_page;
                 self.next_page = (self.next_page + 1) % self.pages;
-                Step::Read { region: self.region, offset: page * 4096, len: 4096 }
+                Step::Touch { region: self.region, offset: page * 4096, len: 4096 }
             }
         }
     }
@@ -233,7 +235,7 @@ mod seq_tests {
         let mut pages = Vec::new();
         loop {
             match f.next(None) {
-                Step::Read { offset, .. } => pages.push(offset / 4096),
+                Step::Touch { offset, .. } => pages.push(offset / 4096),
                 Step::Finish => break,
                 _ => {}
             }

@@ -28,16 +28,13 @@ pub fn record_header(key: u64, version: u64) -> [u8; RECORD_HEADER_LEN] {
 }
 
 /// Parses and validates a record header for `key`; returns the version.
+/// Short or corrupted bytes yield `None`, never a panic.
 pub fn check_header(key: u64, bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < RECORD_HEADER_LEN {
+    let word = |at: usize| Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
+    if word(0)? != MAGIC || word(8)? != key {
         return None;
     }
-    let magic = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-    let k = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if magic != MAGIC || k != key {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")))
+    word(16)
 }
 
 /// The embedded store: key → one 4 KiB record page in a mapped region.
@@ -198,6 +195,24 @@ mod tests {
         corrupt[0] ^= 0xFF;
         assert_eq!(check_header(42, &corrupt), None, "bad magic rejected");
         assert_eq!(check_header(42, &h[..10]), None, "short read rejected");
+    }
+
+    #[test]
+    fn truncated_or_corrupted_headers_count_as_failures() {
+        let good = record_header(3, 0);
+        let mut flipped_key = good;
+        flipped_key[8] ^= 1;
+        for bad in [&good[..0], &good[..7], &good[..16], &good[..23], &flipped_key[..]] {
+            assert_eq!(check_header(3, bad), None, "{bad:?}");
+        }
+        for bad in [&good[..0], &good[..23], &flipped_key[..]] {
+            let db = MiniDb::new(RegionId(0), 1, 1);
+            let mut w = DbBenchReadRandom::new(db, 1, Prng::seed_from(1));
+            assert!(matches!(w.next(None), Step::Compute { .. }));
+            assert!(matches!(w.next(None), Step::Read { .. }));
+            assert_eq!(w.next(Some(bad)), Step::Finish);
+            assert_eq!(w.verify_failures(), 1, "{bad:?}");
+        }
     }
 
     #[test]

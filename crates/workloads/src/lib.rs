@@ -5,10 +5,12 @@
 //!
 //! A workload is a deterministic state machine producing [`Step`]s; the
 //! system simulator executes each step in virtual time (compute advances
-//! the thread's clock at its effective IPC; reads/writes walk the full
-//! demand-paging machinery) and feeds read data back into
-//! [`Workload::next`], so data-dependent behavior (and end-to-end data
-//! *verification*) is possible.
+//! the thread's clock at its effective IPC; reads, touches and writes
+//! walk the full demand-paging machinery) and feeds the data of each
+//! [`Step::Read`] back into [`Workload::next`], so data-dependent
+//! behavior (and end-to-end data *verification*) is possible. A
+//! [`Step::Touch`] is the same access with no data returned, for
+//! workloads that never inspect what they load (FIO).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +52,19 @@ pub enum Step {
         /// Bytes to read (≤ 4096; reads never cross a page boundary).
         len: u32,
     },
+    /// Load `len` bytes at `offset` within `region` without inspecting
+    /// them: the same access as [`Step::Read`] (translation, faults,
+    /// access latency, read-latency accounting), but no bytes are copied
+    /// and the next [`Workload::next`] call sees the same `last_read` as
+    /// if this step had not happened.
+    Touch {
+        /// Target region.
+        region: RegionId,
+        /// Byte offset within the region.
+        offset: u64,
+        /// Bytes loaded (≤ 4096; never crosses a page boundary).
+        len: u32,
+    },
     /// Write `data` at `offset` within `region` (a store through the
     /// mapped file — may fault, dirties the page).
     Write {
@@ -65,10 +80,21 @@ pub enum Step {
 }
 
 impl Step {
-    /// Validates the step's invariants (reads/writes stay within one page).
+    /// The `(region, offset)` a memory access targets; `None` for
+    /// compute and finish steps.
+    pub fn target(&self) -> Option<(RegionId, u64)> {
+        match self {
+            Step::Read { region, offset, .. }
+            | Step::Touch { region, offset, .. }
+            | Step::Write { region, offset, .. } => Some((*region, *offset)),
+            Step::Compute { .. } | Step::Finish => None,
+        }
+    }
+
+    /// Validates the step's invariants (accesses stay within one page).
     pub fn validate(&self) {
         match self {
-            Step::Read { offset, len, .. } => {
+            Step::Read { offset, len, .. } | Step::Touch { offset, len, .. } => {
                 assert!(*len as usize <= 4096, "read longer than a page");
                 assert!(
                     (offset % 4096) + *len as u64 <= 4096,
@@ -90,7 +116,8 @@ impl Step {
 /// A deterministic workload state machine.
 pub trait Workload {
     /// Produces the next step. `last_read` carries the data returned by the
-    /// immediately preceding [`Step::Read`], if any.
+    /// most recent [`Step::Read`], if any; a [`Step::Touch`] returns no
+    /// data and leaves it as it was.
     fn next(&mut self, last_read: Option<&[u8]>) -> Step;
 
     /// Completed application-level operations (for throughput metrics).
@@ -112,9 +139,26 @@ mod tests {
     #[test]
     fn step_validation_accepts_page_aligned() {
         Step::Read { region: RegionId(0), offset: 4096, len: 4096 }.validate();
+        Step::Touch { region: RegionId(0), offset: 4096, len: 4096 }.validate();
         Step::Write { region: RegionId(0), offset: 8192 + 100, data: vec![0; 100] }.validate();
         Step::Compute { instructions: 5 }.validate();
         Step::Finish.validate();
+    }
+
+    #[test]
+    fn target_names_every_access() {
+        let r = RegionId(3);
+        assert_eq!(Step::Read { region: r, offset: 8, len: 1 }.target(), Some((r, 8)));
+        assert_eq!(Step::Touch { region: r, offset: 16, len: 1 }.target(), Some((r, 16)));
+        assert_eq!(Step::Write { region: r, offset: 24, data: vec![1] }.target(), Some((r, 24)));
+        assert_eq!(Step::Compute { instructions: 1 }.target(), None);
+        assert_eq!(Step::Finish.target(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a page boundary")]
+    fn step_validation_rejects_straddling_touch() {
+        Step::Touch { region: RegionId(0), offset: 4000, len: 200 }.validate();
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl Workload for ScratchChurn {
         if self.state == State::Write {
             // Verify the read that just completed.
             let got = last_read
-                .and_then(|b| b.get(..8))
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+                .and_then(|b| b.get(..8)?.try_into().ok())
+                .map(u64::from_le_bytes);
             if got != Some(self.expected[self.current_page as usize]) {
                 self.verify_failures += 1;
             }
@@ -139,7 +139,7 @@ mod tests {
                     assert_eq!(Some(page), pending_page, "write follows its read");
                     mem.insert(page, u64::from_le_bytes(data[..8].try_into().unwrap()));
                 }
-                Step::Compute { .. } => {}
+                Step::Compute { .. } | Step::Touch { .. } => {}
                 Step::Finish => break,
             }
         }
@@ -163,6 +163,17 @@ mod tests {
         let step = w.next(Some(&bad));
         assert!(matches!(step, Step::Write { .. }));
         assert_eq!(w.verify_failures(), 1);
+    }
+
+    #[test]
+    fn truncated_counter_counts_as_failure() {
+        let mut w = ScratchChurn::new(RegionId(0), 1, 2, Prng::seed_from(4));
+        for short in [&[][..], &[0u8; 7][..]] {
+            w.next(None); // compute
+            w.next(None); // read
+            assert!(matches!(w.next(Some(short)), Step::Write { .. }));
+        }
+        assert_eq!(w.verify_failures(), 2, "short reads flagged, no panic");
     }
 
     #[test]

@@ -257,7 +257,7 @@ mod tests {
                 }
                 Step::Write { .. } => writes += 1,
                 Step::Finish => break,
-                Step::Compute { .. } => {}
+                Step::Compute { .. } | Step::Touch { .. } => {}
             }
         }
         (reads, writes, w)

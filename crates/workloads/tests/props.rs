@@ -10,7 +10,7 @@ use hwdp_workloads::{
 use proptest::prelude::*;
 
 /// Drains a workload, answering every read with a correct record header,
-/// and validates each step.
+/// and validates each step. Touches count as reads and return no data.
 fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize) -> (u64, u64) {
     let mut last: Option<Vec<u8>> = None;
     let mut reads = 0;
@@ -27,6 +27,10 @@ fn drive(w: &mut dyn Workload, region_pages: u64, max_steps: usize) -> (u64, u64
                 let mut data = record_header(key, 0).to_vec();
                 data.resize(len as usize, 0);
                 last = Some(data);
+            }
+            Step::Touch { offset, .. } => {
+                assert!(offset / 4096 < region_pages, "touch beyond region");
+                reads += 1;
             }
             Step::Write { offset, .. } => {
                 assert!(offset / 4096 < region_pages, "write beyond region");
@@ -108,7 +112,7 @@ proptest! {
                 Step::Write { offset, data, .. } => {
                     mem.insert(offset / 4096, u64::from_le_bytes(data[..8].try_into().unwrap()));
                 }
-                Step::Compute { .. } => {}
+                Step::Compute { .. } | Step::Touch { .. } => {}
                 Step::Finish => break,
             }
         }

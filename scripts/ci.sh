@@ -209,4 +209,18 @@ grep -Eq '"tier/promotions": [1-9]' "$out/BENCH_tier.json"
 grep -Eq '"tier/demotions": [1-9]' "$out/BENCH_tier.json"
 echo "tiered storage: pages migrated under full sanitize (zero violations)"
 
+echo "== perfbench: API and expected-results guard =="
+# The host-performance benchmark (perfbench/, its own workspace) builds
+# against the simulator's public API and checks every job's simulated
+# metrics against perfbench/expected.tsv. Its tests include the traced
+# replica's parity with run_job; one 1-second run per workload then
+# asserts the benchmark still compiles, runs and reports correct results.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for workload in fio-fig12 ycsb-kv anon-swap; do
+  report="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 0 --seconds 1 --trace 0 2>/dev/null)"
+  grep -q '"correct": true' <<<"$report" || { echo "perfbench $workload: $report"; exit 1; }
+done
+echo "perfbench: compiles, replica matches run_job, expected results hold"
+
 echo "== ci: ok =="
