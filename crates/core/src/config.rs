@@ -5,7 +5,7 @@ use hwdp_cpu::pollution::PollutionParams;
 use hwdp_nvme::fault::FaultConfig;
 use hwdp_nvme::profile::DeviceProfile;
 use hwdp_sim::time::{Duration, Freq};
-use hwdp_sim::{SanitizeLevel, SchedulerKind};
+use hwdp_sim::SanitizeLevel;
 
 /// Which demand-paging design the system runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -135,11 +135,6 @@ pub struct SystemConfig {
     /// hot/cold migration daemon. Pay-as-you-go: `None` is byte-identical
     /// to a build without the tier layer.
     pub tiers: Option<hwdp_tier::TierConfig>,
-    /// Event-scheduler backend. Observation-free knob: both backends obey
-    /// the same `(time, EventId)` total order, so any choice produces
-    /// byte-identical artifacts — the timing wheel is simply faster. The
-    /// heap stays selectable for differential A/B runs.
-    pub scheduler: SchedulerKind,
     /// Master RNG seed; everything derives from it.
     pub seed: u64,
     /// hwdp-audit sanitizer level. Observation-only: any level produces
@@ -174,7 +169,6 @@ impl SystemConfig {
             retry: RetryPolicy::default(),
             faults: None,
             tiers: None,
-            scheduler: SchedulerKind::Wheel,
             seed: 0x5EED_CAFE,
             sanitize: SanitizeLevel::Off,
         }

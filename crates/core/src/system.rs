@@ -31,8 +31,7 @@ use hwdp_smu::host_controller::QueueDescriptor;
 use hwdp_smu::pmshr::{EntryIdx, Pmshr};
 use hwdp_smu::smu::{MissOutcome, MissRequest, Smu};
 use hwdp_smu::timing::SmuTiming;
-use hwdp_sim::events::EventId;
-use hwdp_sim::sched::EventScheduler;
+use hwdp_sim::events::{EventId, EventQueue};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::sanitize::{AuditReport, SanitizeLevel, Sanitizer};
 use hwdp_sim::stats::LatencyHist;
@@ -209,7 +208,7 @@ pub struct IoError {
 /// The full system under test.
 pub struct System {
     cfg: SystemConfig,
-    queue: EventScheduler<Event>,
+    queue: EventQueue<Event>,
     /// The kernel (public for inspection in tests and benches).
     pub os: Os,
     smu: Smu,
@@ -340,7 +339,7 @@ impl System {
 
         let mut sys = System {
             cfg,
-            queue: EventScheduler::new(cfg.scheduler),
+            queue: EventQueue::new(),
             os,
             smu,
             devices: vec![dev],
@@ -848,32 +847,25 @@ impl System {
             None => {
                 t += self.hw[hw.0].walker.walk(vpn);
                 let pte = self.os.page_table.pte(vpn);
-                match pte.class() {
-                    PteClass::Resident | PteClass::ResidentNeedsSync => {
-                        let pfn = pte.pfn().expect("present");
-                        self.os.page_table.update_pte(vpn, Pte::with_accessed);
-                        self.hw[hw.0].tlb.fill(vpn, pfn);
-                        pfn
-                    }
-                    PteClass::LbaAugmented => {
+                // A PTE names a frame exactly when it is present (resident,
+                // synced or not); every other state is a miss.
+                if let Some(pfn) = pte.pfn() {
+                    self.os.page_table.update_pte(vpn, Pte::with_accessed);
+                    self.hw[hw.0].tlb.fill(vpn, pfn);
+                    pfn
+                } else {
+                    self.threads[tid.0].current = Some(step);
+                    self.threads[tid.0].miss_start = Some(now);
+                    if pte.class() == PteClass::LbaAugmented && !self.force_osdp.remove(&vpn.0) {
                         debug_assert!(self.cfg.mode.uses_lba_ptes());
-                        self.threads[tid.0].current = Some(step);
-                        self.threads[tid.0].miss_start = Some(now);
-                        if self.force_osdp.remove(&vpn.0) {
-                            // Fault recovery abandoned the hardware miss on
-                            // this page; route it through the OS instead.
-                            self.start_osdp_fault(tid, hw, vpn, t);
-                        } else {
-                            self.start_lba_miss(tid, hw, vpn, t);
-                        }
-                        return;
-                    }
-                    PteClass::NotPresentOsHandled => {
-                        self.threads[tid.0].current = Some(step);
-                        self.threads[tid.0].miss_start = Some(now);
+                        self.start_lba_miss(tid, hw, vpn, t);
+                    } else {
+                        // OS-handled PTEs, and LBA-augmented pages whose
+                        // hardware miss fault recovery abandoned, take the
+                        // OS fault path.
                         self.start_osdp_fault(tid, hw, vpn, t);
-                        return;
                     }
+                    return;
                 }
             }
         };
@@ -2014,12 +2006,15 @@ impl System {
         }
 
         let mut end = Time::ZERO;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                end = deadline;
+        loop {
+            let Some((now, event)) = self.queue.pop_until(deadline) else {
+                // Events left pending lie past the deadline: the run was
+                // cut there. An empty queue ends at the last event.
+                if !self.queue.is_empty() {
+                    end = deadline;
+                }
                 break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked");
+            };
             end = now;
             self.events_processed += 1;
             match event {

@@ -13,7 +13,6 @@ use hwdp_core::{HwId, Mode, RunResult, System, SystemBuilder};
 use hwdp_os::costs::{OsdpCosts, SwOnlyCosts};
 use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
-use hwdp_sim::SchedulerKind;
 use hwdp_smu::SmuTiming;
 use hwdp_workloads::{
     DbBenchReadRandom, FioRandRead, MiniDb, ScratchChurn, SpecKernel, Workload, Ycsb,
@@ -49,17 +48,8 @@ fn throughput_enabled() -> bool {
     std::env::var_os("HWDP_THROUGHPUT").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// The `HWDP_SCHEDULER` env knob (`wheel` / `heap`), if set to a valid
-/// backend name. Observation-free: either backend produces byte-identical
-/// artifacts (the scheduler-parity test in `tests/seed_parity.rs` pins
-/// this), so the knob exists for differential A/B runs and throughput
-/// benchmarking, not for result steering.
-fn scheduler_override() -> Option<SchedulerKind> {
-    std::env::var("HWDP_SCHEDULER").ok().and_then(|s| SchedulerKind::parse(&s))
-}
-
 /// Opt-in scheduler-throughput metrics: the event count is deterministic
-/// (identical under both backends by the ordering contract), while
+/// (fixed by the event queue's ordering contract), while
 /// `events_per_sec` divides it by measured wall time and therefore varies
 /// run to run — `hwdp compare` treats it as advisory, never gating.
 fn export_metrics(events_processed: u64, wall_secs: f64) -> Vec<(&'static str, f64)> {
@@ -168,11 +158,6 @@ fn build_and_run(spec: &JobSpec) -> (RunResult, System) {
         .smu_prefetch_pages(spec.smu_prefetch_pages)
         .sanitize(spec.sanitize)
         .seed(spec.seed);
-    if let Some(kind) = scheduler_override() {
-        // A/B backend selection for differential runs and benchmarks;
-        // byte-identical either way by the scheduler ordering contract.
-        builder = builder.tweak(move |cfg| cfg.scheduler = kind);
-    }
     if let Some(entries) = spec.pmshr_entries {
         builder = builder.pmshr_entries(entries);
     }

@@ -210,38 +210,23 @@ fn seed_campaign_is_worker_count_invariant() {
 }
 
 #[test]
-fn both_scheduler_backends_reproduce_committed_baseline_byte_for_byte() {
-    // The scheduler-parity contract: the timing wheel (the default) and
-    // the binary heap obey the same `(time, EventId)` total order, so the
-    // whole seed campaign — every event interleaving, every metric — is
-    // byte-identical under either backend, and identical to the committed
-    // baseline captured under the heap. The `HWDP_SCHEDULER` knob is
-    // therefore pure A/B selection, never result steering.
-    //
-    // Setting the env var here is safe against the other tests in this
-    // binary precisely *because* of this contract: whichever backend a
-    // concurrently-running parity test picks up, its artifact is the same.
+fn event_queue_reproduces_committed_baseline_byte_for_byte() {
+    // The event-queue contract: events fire in `(time, EventId)` total
+    // order, so the whole seed campaign — every event interleaving, every
+    // metric — run on one worker is byte-identical to the committed
+    // baseline, which was captured under earlier queue implementations
+    // obeying the same law.
     let baseline_path =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/BENCH_seed.json");
     let text = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", baseline_path.display()));
     let baseline = Artifact::parse(&text).expect("committed baseline parses");
 
-    let campaign = seed_campaign();
-    let mut artifacts = Vec::new();
-    for backend in ["wheel", "heap"] {
-        std::env::set_var("HWDP_SCHEDULER", backend);
-        artifacts.push((backend, execute_campaign(&campaign, 4, &mut Counting::default())));
-    }
-    std::env::remove_var("HWDP_SCHEDULER");
-
-    for (backend, fresh) in &artifacts {
-        assert_eq!(
-            fresh.canonical_string(),
-            baseline.canonical_string(),
-            "the {backend} scheduler backend drifted from \
-             baselines/BENCH_seed.json; both backends must honour the \
-             (time, EventId) ordering contract exactly"
-        );
-    }
+    let fresh = execute_campaign(&seed_campaign(), 1, &mut Counting::default());
+    assert_eq!(
+        fresh.canonical_string(),
+        baseline.canonical_string(),
+        "the event queue drifted from baselines/BENCH_seed.json; it must \
+         honour the (time, EventId) ordering contract exactly"
+    );
 }

@@ -13,7 +13,7 @@ use hwdp_mem::pte::{Pte, PteFlags};
 
 use crate::costs::{BackgroundCosts, OsdpCosts, SwOnlyCosts};
 use crate::fs::{FileId, MiniFs};
-use crate::page_cache::PageCache;
+use crate::page_cache::{PageCache, Victim};
 use crate::vma::{AddressSpace, MmapFlags, Vma, VmaId};
 
 /// A page chosen for eviction, with everything the I/O layer needs to
@@ -134,6 +134,8 @@ pub struct Os {
     stats: OsStats,
     /// Frames the OS keeps in reserve for its own allocations.
     reserve: usize,
+    /// Reusable reclaim scratch: the clock's victims for one call.
+    victims: Vec<Victim>,
 }
 
 impl Os {
@@ -151,6 +153,7 @@ impl Os {
             acct: KernelAccounting::default(),
             stats: OsStats::default(),
             reserve: (total_frames / 64).max(8),
+            victims: Vec::new(),
         }
     }
 
@@ -291,20 +294,25 @@ impl Os {
 
     /// Allocation-free [`Os::reclaim`]: evictions are appended to `out`.
     pub fn reclaim_into(&mut self, n: usize, out: &mut Vec<Eviction>) {
+        let mut victims = std::mem::take(&mut self.victims);
         // Split borrows: the clock callback inspects PTE accessed bits.
         let Os { cache, page_table, .. } = self;
-        let victims = cache.select_victims(n, |_, _, vpn| {
-            let Some(vpn) = vpn else { return false };
-            let pte = page_table.pte(vpn);
-            if pte.is_accessed() {
-                page_table.update_pte(vpn, Pte::clear_accessed);
-                true
-            } else {
-                false
-            }
-        });
+        cache.select_victims(
+            n,
+            |_, _, vpn| {
+                let Some(vpn) = vpn else { return false };
+                let pte = page_table.pte(vpn);
+                if pte.is_accessed() {
+                    page_table.update_pte(vpn, Pte::clear_accessed);
+                    true
+                } else {
+                    false
+                }
+            },
+            &mut victims,
+        );
         out.reserve(victims.len());
-        for v in victims {
+        for v in victims.drain(..) {
             let dirty = self.frames.is_dirty(v.pfn)
                 || v.vpn.map(|vpn| self.page_table.pte(vpn).is_dirty()).unwrap_or(false);
             // A dirty anonymous page is being swapped out for the first
@@ -341,6 +349,7 @@ impl Os {
             self.acct.app_kernel_instr += 800;
             out.push(Eviction { file: v.file, page: v.page, block: wb_block, dirty, data, vpn: v.vpn });
         }
+        self.victims = victims;
     }
 
     /// §IV-B: the file system moved `page` of `file` to a new block

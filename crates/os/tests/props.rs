@@ -1,13 +1,70 @@
 //! Property-based tests of the OS model: extent-allocation disjointness,
 //! page-cache/clock invariants, and reclaim consistency.
 
-use hwdp_mem::addr::{DeviceId, Pfn, SocketId};
+use std::collections::{BTreeMap, VecDeque};
+
+use hwdp_mem::addr::{DeviceId, Pfn, SocketId, Vpn};
 use hwdp_mem::pte::PteClass;
-use hwdp_os::fs::MiniFs;
+use hwdp_os::fs::{FileId, MiniFs};
 use hwdp_os::kernel::Os;
-use hwdp_os::page_cache::PageCache;
+use hwdp_os::page_cache::{PageCache, Victim};
 use hwdp_os::vma::MmapFlags;
 use proptest::prelude::*;
+
+/// The page cache as it was first written: a `BTreeMap` keyed by
+/// `(file, page)` beside the same lazily-pruned clock. The dense
+/// [`PageCache`] must be observationally identical to it.
+#[derive(Default)]
+struct RefCache {
+    map: BTreeMap<(u32, u64), (Pfn, Option<Vpn>)>,
+    clock: VecDeque<(u32, u64)>,
+}
+
+impl RefCache {
+    fn insert(&mut self, file: FileId, page: u64, pfn: Pfn, vpn: Option<Vpn>) {
+        assert!(self.map.insert((file.0, page), (pfn, vpn)).is_none());
+        self.clock.push_back((file.0, page));
+    }
+
+    fn remove(&mut self, file: FileId, page: u64) -> Option<Pfn> {
+        self.map.remove(&(file.0, page)).map(|(pfn, _)| pfn)
+    }
+
+    fn select_victims(
+        &mut self,
+        n: usize,
+        mut referenced: impl FnMut(FileId, u64, Option<Vpn>) -> bool,
+    ) -> Vec<Victim> {
+        let mut victims = Vec::new();
+        let mut budget = self.clock.len() * 2;
+        while victims.len() < n && budget > 0 {
+            let Some(key) = self.clock.pop_front() else { break };
+            budget -= 1;
+            let Some(&(pfn, vpn)) = self.map.get(&key) else { continue };
+            if referenced(FileId(key.0), key.1, vpn) {
+                self.clock.push_back(key);
+                continue;
+            }
+            self.map.remove(&key);
+            victims.push(Victim { file: FileId(key.0), page: key.1, pfn, vpn });
+        }
+        victims
+    }
+}
+
+/// A `referenced` predicate whose k-th answer depends only on `seed`,
+/// `k` and the page asked about, so two caches that ask the same
+/// questions in the same order get the same answers.
+fn predicate(seed: u64) -> impl FnMut(FileId, u64, Option<Vpn>) -> bool {
+    let mut k = 0u64;
+    move |file, page, vpn| {
+        k += 1;
+        let mut x = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= u64::from(file.0) << 40 ^ page << 8 ^ vpn.map_or(0, |v| v.0);
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (x >> 61) < 3 // referenced with probability 3/8
+    }
+}
 
 proptest! {
     /// Files never share blocks, whatever their sizes.
@@ -49,13 +106,79 @@ proptest! {
         for p in 0..n as u64 {
             pc.insert(hwdp_os::fs::FileId(0), p, Pfn(p), None);
         }
-        let victims = pc.select_victims(n, |_, page, _| protected.contains(&page));
+        let mut victims = Vec::new();
+        pc.select_victims(n, |_, page, _| protected.contains(&page), &mut victims);
         for v in &victims {
             prop_assert!(!protected.contains(&v.page), "protected page evicted");
         }
         // Protected pages (within range) are still cached.
         for &p in protected.iter().filter(|&&p| (p as usize) < n) {
             prop_assert!(pc.lookup(hwdp_os::fs::FileId(0), p).is_some());
+        }
+    }
+
+    /// The dense page cache agrees with the `BTreeMap` reference under
+    /// random insert / remove / remove-then-reinsert / clock sweeps with a
+    /// random `referenced` predicate: same victims in the same order, and
+    /// the same `iter`, `lookup`, `rmap`, `len` and clock length after
+    /// every call.
+    #[test]
+    fn page_cache_matches_btreemap_reference(
+        ops in prop::collection::vec((0u8..10, 0u32..3, 0u64..24, any::<u64>()), 1..300)
+    ) {
+        let mut pc = PageCache::new();
+        let mut model = RefCache::default();
+        // Frames are unique among cached pages, as the frame pool makes them.
+        let mut free: Vec<Pfn> = (0..48).rev().map(Pfn).collect();
+        let mut out = Vec::new();
+        for (kind, file, page, seed) in ops {
+            let f = FileId(file);
+            match kind {
+                0..=4 => {
+                    if model.map.contains_key(&(file, page)) {
+                        continue;
+                    }
+                    let Some(pfn) = free.pop() else { continue };
+                    let vpn = (seed % 3 != 0).then_some(Vpn(seed >> 12));
+                    pc.insert(f, page, pfn, vpn);
+                    model.insert(f, page, pfn, vpn);
+                }
+                5 | 6 => {
+                    let got = pc.remove(f, page);
+                    prop_assert_eq!(got, model.remove(f, page));
+                    free.extend(got);
+                    // Remove-then-reinsert of the same key: the stale clock
+                    // entry becomes live again in both.
+                    if kind == 6 {
+                        if let Some(pfn) = free.pop() {
+                            pc.insert(f, page, pfn, None);
+                            model.insert(f, page, pfn, None);
+                        }
+                    }
+                }
+                _ => {
+                    let n = (seed % 8) as usize;
+                    let start = out.len();
+                    pc.select_victims(n, predicate(seed), &mut out);
+                    let want = model.select_victims(n, predicate(seed));
+                    prop_assert_eq!(&out[start..], &want[..]);
+                    free.extend(want.iter().map(|v| v.pfn));
+                }
+            }
+            prop_assert_eq!(pc.len(), model.map.len());
+            prop_assert_eq!(pc.is_empty(), model.map.is_empty());
+            prop_assert_eq!(pc.clock_len(), model.clock.len());
+            let listed: Vec<_> = pc.iter().collect();
+            let expected: Vec<_> =
+                model.map.iter().map(|(&(f, p), &(pfn, vpn))| (FileId(f), p, pfn, vpn)).collect();
+            prop_assert_eq!(listed, expected);
+            for f in 0..4 {
+                for p in 0..26 {
+                    let entry = model.map.get(&(f, p));
+                    prop_assert_eq!(pc.lookup(FileId(f), p), entry.map(|e| e.0));
+                    prop_assert_eq!(pc.rmap(FileId(f), p), entry.and_then(|e| e.1));
+                }
+            }
         }
     }
 

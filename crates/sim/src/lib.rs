@@ -5,12 +5,9 @@
 //!
 //! * [`time`] — picosecond-resolution virtual time ([`time::Time`],
 //!   [`time::Duration`]), CPU frequencies and cycle/nanosecond conversion.
-//! * [`events`] — a stable, deterministic event queue ([`events::EventQueue`])
-//!   keyed by `(time, sequence)` so same-time events fire in insertion order.
-//! * [`sched`] — the pluggable [`sched::Scheduler`] contract behind that
-//!   queue, its production hierarchical timing wheel
-//!   ([`sched::TimingWheel`]), and the [`sched::EventScheduler`] dispatch
-//!   enum the system core embeds.
+//! * [`events`] — the simulator's one event queue ([`events::EventQueue`]):
+//!   a binary heap of `(time, EventId)` keys over a payload slab, so
+//!   same-time events fire in scheduling order and cancellation is O(1).
 //! * [`rng`] — a small, seedable, portable PRNG ([`rng::Prng`], SplitMix64 +
 //!   xoshiro256**) so simulations never depend on platform entropy.
 //! * [`dist`] — workload distributions (uniform, Zipfian, scrambled Zipfian,
@@ -42,12 +39,11 @@ pub mod dist;
 pub mod events;
 pub mod rng;
 pub mod sanitize;
-pub mod sched;
+mod sched;
 pub mod stats;
 pub mod time;
 
 pub use events::EventQueue;
-pub use sched::{EventScheduler, Scheduler, SchedulerKind, TimingWheel};
 pub use rng::Prng;
 pub use sanitize::{AuditReport, SanitizeLevel, Sanitizer, Violation};
 pub use time::{Duration, Freq, Time};

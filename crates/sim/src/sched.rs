@@ -1,718 +1,41 @@
-//! Pluggable event schedulers: the [`Scheduler`] contract, the production
-//! hierarchical [`TimingWheel`], and the [`EventScheduler`] dispatch enum.
+//! Scheduler-contract scenarios on a recycled [`EventQueue`].
 //!
-//! # The scheduler contract
-//!
-//! Every implementation obeys the same deterministic law (pinned by
-//! `tests/scheduler_diff.rs`, which drives the heap and the wheel with
-//! identical operation streams):
-//!
-//! * **Ordering law** — events fire in ascending `(time, EventId)` order.
-//!   The id is assigned from a single monotonic counter at `schedule`
-//!   time, so same-instant events fire in scheduling order.
-//! * **EventId monotonicity** — the n-th `schedule` call on a scheduler
-//!   returns the same [`EventId`] on every implementation (ids are never
-//!   reused and never depend on internal storage layout).
-//! * **Cancel semantics** — `cancel` returns `true` iff the event was
-//!   still pending; fired, already-cancelled, and never-issued ids report
-//!   `false`. Cancelled events are invisible to `pop`/`peek_time`/`len`.
-//! * **Clock** — `now()` is the timestamp of the most recently popped
-//!   event (never rewound); `peek_time` reports the next event's raw
-//!   scheduled time (which may lie in the past), while `pop` returns the
-//!   clamped `max(now, at)`.
-//!
-//! # Why a timing wheel
-//!
-//! The simulator's inner loop is schedule/pop-dominated; a binary heap
-//! pays `O(log n)` plus a tombstone set probe per operation. The
-//! hierarchical wheel indexes events by their picosecond timestamp into
-//! 11 levels of 64 slots (6 bits per level covers the full 64-bit time
-//! domain), with per-slot intrusive lists in a slab arena and per-level
-//! occupancy bitmaps, making schedule O(1) and pop O(levels) worst case
-//! (amortized O(1) on campaign traces).
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use crate::events::{EventId, EventQueue};
-use crate::time::{Duration, Time};
-
-/// The deterministic event-scheduler contract (see the module docs for
-/// the ordering, id, and cancel laws every implementation shares).
-pub trait Scheduler<E> {
-    /// Schedules `payload` to fire at `at`, returning a cancellation
-    /// handle drawn from the scheduler's monotonic id counter.
-    fn schedule(&mut self, at: Time, payload: E) -> EventId;
-    /// Cancels a pending event; `true` iff it had not fired or been
-    /// cancelled already.
-    fn cancel(&mut self, id: EventId) -> bool;
-    /// Pops the earliest pending event as `(max(now, at), payload)`,
-    /// advancing the clock.
-    fn pop(&mut self) -> Option<(Time, E)>;
-    /// The raw scheduled time of the next pending event, if any.
-    fn peek_time(&mut self) -> Option<Time>;
-    /// The timestamp of the most recently popped event ([`Time::ZERO`]
-    /// before the first pop).
-    fn now(&self) -> Time;
-    /// Number of pending (non-cancelled) events.
-    fn len(&self) -> usize;
-    /// Returns `true` if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<E> Scheduler<E> for EventQueue<E> {
-    fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        EventQueue::schedule(self, at, payload)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventQueue::cancel(self, id)
-    }
-    fn pop(&mut self) -> Option<(Time, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<Time> {
-        EventQueue::peek_time(self)
-    }
-    fn now(&self) -> Time {
-        EventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-}
-
-/// Which scheduler implementation an [`EventScheduler`] dispatches to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// The hierarchical timing wheel (production default).
-    #[default]
-    Wheel,
-    /// The binary-heap reference implementation.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Parses `"wheel"` or `"heap"` (the `HWDP_SCHEDULER` env knob).
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s {
-            "wheel" => Some(SchedulerKind::Wheel),
-            "heap" => Some(SchedulerKind::Heap),
-            _ => None,
-        }
-    }
-
-    /// The knob spelling [`Self::parse`] accepts.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-}
-
-/// Static dispatch over the two [`Scheduler`] implementations, so the
-/// system core pays no vtable indirection in its inner loop.
-pub enum EventScheduler<E> {
-    /// Timing-wheel backed.
-    Wheel(TimingWheel<E>),
-    /// Binary-heap backed (reference semantics; differential testing and
-    /// the dual-scheduler parity campaigns).
-    Heap(EventQueue<E>),
-}
-
-impl<E> EventScheduler<E> {
-    /// Creates an empty scheduler of the given kind at [`Time::ZERO`].
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Wheel => EventScheduler::Wheel(TimingWheel::new()),
-            SchedulerKind::Heap => EventScheduler::Heap(EventQueue::new()),
-        }
-    }
-
-    /// The implementation this scheduler dispatches to.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventScheduler::Wheel(_) => SchedulerKind::Wheel,
-            EventScheduler::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// See [`Scheduler::schedule`].
-    pub fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        match self {
-            EventScheduler::Wheel(w) => w.schedule(at, payload),
-            EventScheduler::Heap(h) => h.schedule(at, payload),
-        }
-    }
-
-    /// See [`Scheduler::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            EventScheduler::Wheel(w) => w.cancel(id),
-            EventScheduler::Heap(h) => h.cancel(id),
-        }
-    }
-
-    /// See [`Scheduler::pop`].
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        match self {
-            EventScheduler::Wheel(w) => w.pop(),
-            EventScheduler::Heap(h) => h.pop(),
-        }
-    }
-
-    /// See [`Scheduler::peek_time`].
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            EventScheduler::Wheel(w) => w.peek_time(),
-            EventScheduler::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// See [`Scheduler::now`].
-    pub fn now(&self) -> Time {
-        match self {
-            EventScheduler::Wheel(w) => w.now(),
-            EventScheduler::Heap(h) => h.now(),
-        }
-    }
-
-    /// See [`Scheduler::len`].
-    pub fn len(&self) -> usize {
-        match self {
-            EventScheduler::Wheel(w) => w.len(),
-            EventScheduler::Heap(h) => h.len(),
-        }
-    }
-
-    /// See [`Scheduler::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<E> Scheduler<E> for EventScheduler<E> {
-    fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        EventScheduler::schedule(self, at, payload)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventScheduler::cancel(self, id)
-    }
-    fn pop(&mut self) -> Option<(Time, E)> {
-        EventScheduler::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<Time> {
-        EventScheduler::peek_time(self)
-    }
-    fn now(&self) -> Time {
-        EventScheduler::now(self)
-    }
-    fn len(&self) -> usize {
-        EventScheduler::len(self)
-    }
-}
-
-impl<E> std::fmt::Debug for EventScheduler<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventScheduler")
-            .field("kind", &self.kind())
-            .field("len", &self.len())
-            .field("now", &self.now())
-            .finish()
-    }
-}
-
-/// Wheel geometry: 11 levels x 64 slots at 6 bits per level spans the
-/// whole 64-bit picosecond domain (6 * 11 = 66 >= 64), so no timestamp
-/// ever overflows the top level.
-const LEVELS: usize = 11;
-const SLOT_BITS: usize = 6;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Null link / retired-ring marker.
-const NIL: u32 = u32::MAX;
-
-/// One slab-arena entry: the event plus its intrusive slot-list link.
-/// `payload == None` marks a cancelled tombstone (or a free slot).
-struct Slot<E> {
-    at: u64,
-    id: u64,
-    next: u32,
-    payload: Option<E>,
-}
-
-/// A hierarchical timing wheel with slab/arena event storage.
-///
-/// Events at picosecond time `t` live at the level of the highest bit in
-/// which `t` differs from the cursor (6 bits per level); cascades move a
-/// higher-level slot's list down as the cursor reaches it, preserving
-/// insertion order so the `(time, id)` law holds without any comparison
-/// sort. Events scheduled *behind* the cursor (the "schedule in the
-/// past" case) go to a small overdue min-heap, which always drains
-/// before the wheel — every overdue time is strictly below the wheel's
-/// minimum, so the global order is still exact.
-///
-/// Cancellation tombstones the slab entry in place (O(1) via the
-/// id-to-slot ring) and sweeps the wheel when cancelled entries
-/// outnumber half the live ones, the same debt bound as the heap
-/// implementation.
-///
-/// ```
-/// use hwdp_sim::sched::{Scheduler, TimingWheel};
-/// use hwdp_sim::time::{Duration, Time};
-///
-/// let mut w = TimingWheel::new();
-/// let a = w.schedule(Time::ZERO + Duration::from_nanos(10), 'a');
-/// w.schedule(Time::ZERO + Duration::from_nanos(10), 'b');
-/// w.cancel(a);
-/// assert_eq!(w.pop().map(|(_, e)| e), Some('b'));
-/// assert!(w.pop().is_none());
-/// ```
-pub struct TimingWheel<E> {
-    slab: Vec<Slot<E>>,
-    free: Vec<u32>,
-    heads: [[u32; SLOTS]; LEVELS],
-    tails: [[u32; SLOTS]; LEVELS],
-    /// Per-level slot-occupancy bitmaps (bit i = slot i non-empty).
-    occ: [u64; LEVELS],
-    /// Events scheduled strictly before the cursor, ordered by
-    /// `(time, id)`; always drained before the wheel.
-    overdue: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// `ring[id - base_id]` is the event's slab index, or [`NIL`] once it
-    /// fired or was cancelled; the front is trimmed as ids retire so the
-    /// ring tracks the live id window, not the full history.
-    ring: VecDeque<u32>,
-    base_id: u64,
-    next_id: u64,
-    live: usize,
-    cancelled: usize,
-    /// The wheel's indexing origin: all slotted events have `at >=
-    /// cursor`, and the cursor only ever advances (to the minimum pending
-    /// slotted time during settling).
-    cursor: u64,
-    now: Time,
-    /// Reusable sweep buffer for rebuilding the overdue heap.
-    scratch: Vec<(u64, u64, u32)>,
-}
-
-impl<E> Default for TimingWheel<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> TimingWheel<E> {
-    /// Creates an empty wheel positioned at [`Time::ZERO`].
-    pub fn new() -> Self {
-        TimingWheel {
-            slab: Vec::new(),
-            free: Vec::new(),
-            heads: [[NIL; SLOTS]; LEVELS],
-            tails: [[NIL; SLOTS]; LEVELS],
-            occ: [0; LEVELS],
-            overdue: BinaryHeap::new(),
-            ring: VecDeque::new(),
-            base_id: 0,
-            next_id: 0,
-            live: 0,
-            cancelled: 0,
-            cursor: 0,
-            now: Time::ZERO,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The time of the most recently popped event ([`Time::ZERO`] before
-    /// the first pop). Popping never moves time backwards.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The level whose 6-bit digit is the highest in which `t` and the
-    /// cursor differ (level 0 when they agree: the current slot window).
-    fn level_of(t: u64, cursor: u64) -> usize {
-        let diff = t ^ cursor;
-        if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros() as usize) / SLOT_BITS
-        }
-    }
-
-    fn alloc_slot(&mut self, at: u64, id: u64, payload: E) -> u32 {
-        if let Some(si) = self.free.pop() {
-            if let Some(s) = self.slab.get_mut(si as usize) {
-                s.at = at;
-                s.id = id;
-                s.next = NIL;
-                s.payload = Some(payload);
-            }
-            si
-        } else {
-            let si = self.slab.len() as u32;
-            self.slab.push(Slot { at, id, next: NIL, payload: Some(payload) });
-            si
-        }
-    }
-
-    /// Appends slab entry `si` to its slot list for the current cursor.
-    /// Appending keeps each slot list in id order: within one cursor
-    /// epoch, later links carry later ids (schedules) or earlier-linked
-    /// order (cascades, which traverse front to back).
-    fn link(&mut self, si: u32) {
-        let (lvl, pos) = {
-            let Some(s) = self.slab.get(si as usize) else { return };
-            let t = s.at;
-            debug_assert!(t >= self.cursor, "wheel entries never precede the cursor");
-            let lvl = Self::level_of(t, self.cursor);
-            let pos = ((t >> (SLOT_BITS * lvl)) & SLOT_MASK) as usize;
-            (lvl, pos)
-        };
-        if let Some(s) = self.slab.get_mut(si as usize) {
-            s.next = NIL;
-        }
-        let tail = self.tails[lvl][pos];
-        if tail == NIL {
-            self.heads[lvl][pos] = si;
-        } else if let Some(prev) = self.slab.get_mut(tail as usize) {
-            prev.next = si;
-        }
-        self.tails[lvl][pos] = si;
-        self.occ[lvl] |= 1u64 << pos;
-    }
-
-    /// Schedules `payload` to fire at `at` (see [`Scheduler::schedule`]).
-    pub fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let t = at.as_ps();
-        let si = self.alloc_slot(t, id, payload);
-        if t < self.cursor {
-            // Scheduled behind the wheel's origin (peeking may advance
-            // the cursor past `now`): the overdue heap preserves the
-            // (time, id) law because every overdue time is strictly
-            // below every slotted time.
-            self.overdue.push(Reverse((t, id, si)));
-        } else {
-            self.link(si);
-        }
-        self.ring.push_back(si);
-        self.live += 1;
-        EventId::from_raw(id)
-    }
-
-    /// Cancels a pending event (see [`Scheduler::cancel`]).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let raw = id.raw();
-        if raw >= self.next_id || raw < self.base_id {
-            return false;
-        }
-        let idx = (raw - self.base_id) as usize;
-        let Some(&si) = self.ring.get(idx) else { return false };
-        if si == NIL {
-            return false;
-        }
-        self.ring[idx] = NIL;
-        if let Some(s) = self.slab.get_mut(si as usize) {
-            debug_assert_eq!(s.id, raw);
-            s.payload = None;
-        }
-        self.trim_ring();
-        self.live -= 1;
-        self.cancelled += 1;
-        if self.cancelled > self.live / 2 {
-            self.sweep();
-        }
-        true
-    }
-
-    /// Marks id `raw` retired in the ring and returns its slab slot to
-    /// the free list (the caller has already unlinked it).
-    fn retire(&mut self, si: u32, raw: u64) {
-        if raw >= self.base_id {
-            let idx = (raw - self.base_id) as usize;
-            if let Some(r) = self.ring.get_mut(idx) {
-                *r = NIL;
-            }
-            self.trim_ring();
-        }
-        self.free.push(si);
-        self.live -= 1;
-    }
-
-    fn trim_ring(&mut self) {
-        while let Some(&NIL) = self.ring.front() {
-            self.ring.pop_front();
-            self.base_id += 1;
-        }
-    }
-
-    /// Drops overdue tombstones and returns the next overdue time, if any.
-    fn settle_overdue(&mut self) -> Option<u64> {
-        while let Some(&Reverse((t, id, si))) = self.overdue.peek() {
-            match self.slab.get(si as usize) {
-                Some(s) if s.id == id && s.payload.is_some() => return Some(t),
-                Some(s) if s.id == id => {
-                    // Cancelled tombstone: release the slot with the entry.
-                    self.overdue.pop();
-                    self.free.push(si);
-                    self.cancelled -= 1;
-                }
-                _ => {
-                    // Stale entry (slot already swept and reused).
-                    self.overdue.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Advances the cursor to the minimum pending slotted time, cascading
-    /// higher-level slots down as it goes, and returns that time. After a
-    /// `Some(t)` return the cursor equals `t` and the head of level 0's
-    /// slot `t & 63` is the live event to fire next.
-    fn settle(&mut self) -> Option<u64> {
-        loop {
-            // Level 0 first: any occupied slot at or after the cursor's
-            // position beats every higher level (higher-level entries
-            // differ from the cursor in a higher bit, so their times lie
-            // beyond the current 64-slot window).
-            let pos0 = (self.cursor & SLOT_MASK) as u32;
-            let mask0 = self.occ[0] & (u64::MAX << pos0);
-            if mask0 != 0 {
-                let idx = mask0.trailing_zeros() as usize;
-                // Purge cancelled tombstones at the head of the list.
-                let mut head = self.heads[0][idx];
-                while head != NIL {
-                    match self.slab.get(head as usize) {
-                        Some(s) if s.payload.is_none() => {
-                            let next = s.next;
-                            self.free.push(head);
-                            self.cancelled -= 1;
-                            head = next;
-                        }
-                        _ => break,
-                    }
-                }
-                self.heads[0][idx] = head;
-                if head == NIL {
-                    self.tails[0][idx] = NIL;
-                    self.occ[0] &= !(1u64 << idx);
-                    continue;
-                }
-                let Some(s) = self.slab.get(head as usize) else { return None };
-                debug_assert!(s.at >= self.cursor);
-                self.cursor = s.at;
-                return Some(s.at);
-            }
-            // Climb: the lowest level with an occupied slot strictly
-            // after the cursor's own digit holds the next batch. (An
-            // entry can never share the cursor's slot at level >= 1: its
-            // digit there differing is what put it at that level.)
-            let mut cascaded = false;
-            for lvl in 1..LEVELS {
-                let pos = ((self.cursor >> (SLOT_BITS * lvl)) & SLOT_MASK) as u32;
-                let mask = match u64::MAX.checked_shl(pos + 1) {
-                    Some(m) => self.occ[lvl] & m,
-                    None => 0,
-                };
-                if mask == 0 {
-                    continue;
-                }
-                let idx = mask.trailing_zeros() as u64;
-                // Jump the cursor to the slot's base time: every lower
-                // digit position is empty, so the jump skips nothing.
-                let span = SLOT_BITS * (lvl + 1);
-                let keep = if span >= 64 { 0 } else { (self.cursor >> span) << span };
-                self.cursor = keep | (idx << (SLOT_BITS * lvl));
-                // Cascade the slot's list down, front to back, preserving
-                // relative (and therefore id) order; drop tombstones.
-                let mut si = self.heads[lvl][idx as usize];
-                self.heads[lvl][idx as usize] = NIL;
-                self.tails[lvl][idx as usize] = NIL;
-                self.occ[lvl] &= !(1u64 << idx);
-                while si != NIL {
-                    let (next, dead) = match self.slab.get(si as usize) {
-                        Some(s) => (s.next, s.payload.is_none()),
-                        None => break,
-                    };
-                    if dead {
-                        self.free.push(si);
-                        self.cancelled -= 1;
-                    } else {
-                        self.link(si);
-                    }
-                    si = next;
-                }
-                cascaded = true;
-                break;
-            }
-            if !cascaded {
-                return None;
-            }
-        }
-    }
-
-    /// The raw scheduled time of the next pending event, if any (see
-    /// [`Scheduler::peek_time`]).
-    pub fn peek_time(&mut self) -> Option<Time> {
-        if let Some(t) = self.settle_overdue() {
-            return Some(Time::ZERO + Duration::from_ps(t));
-        }
-        self.settle().map(|t| Time::ZERO + Duration::from_ps(t))
-    }
-
-    /// Pops the earliest pending event (see [`Scheduler::pop`]).
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        // Overdue events fire first: their times are strictly below every
-        // slotted time, so this is exactly the global (time, id) order.
-        if self.settle_overdue().is_some() {
-            if let Some(Reverse((t, id, si))) = self.overdue.pop() {
-                if let Some(s) = self.slab.get_mut(si as usize) {
-                    if let Some(payload) = s.payload.take() {
-                        self.retire(si, id);
-                        self.now = self.now.max(Time::ZERO + Duration::from_ps(t));
-                        return Some((self.now, payload));
-                    }
-                }
-            }
-            return None;
-        }
-        let t = self.settle()?;
-        let idx = (self.cursor & SLOT_MASK) as usize;
-        let head = self.heads[0][idx];
-        let (next, id, payload) = {
-            let Some(s) = self.slab.get_mut(head as usize) else { return None };
-            debug_assert_eq!(s.at, t);
-            let Some(payload) = s.payload.take() else { return None };
-            (s.next, s.id, payload)
-        };
-        self.heads[0][idx] = next;
-        if next == NIL {
-            self.tails[0][idx] = NIL;
-            self.occ[0] &= !(1u64 << idx);
-        }
-        self.retire(head, id);
-        self.now = self.now.max(Time::ZERO + Duration::from_ps(t));
-        Some((self.now, payload))
-    }
-
-    /// Rebuilds every slot list and the overdue heap without tombstones,
-    /// returning their slab slots to the free list. Runs when cancelled
-    /// entries outnumber half the live ones, so the arena's footprint
-    /// stays proportional to the live event count.
-    fn sweep(&mut self) {
-        for lvl in 0..LEVELS {
-            let mut occ = self.occ[lvl];
-            while occ != 0 {
-                let pos = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let mut si = self.heads[lvl][pos];
-                let mut new_head = NIL;
-                let mut new_tail = NIL;
-                while si != NIL {
-                    let (next, dead) = match self.slab.get(si as usize) {
-                        Some(s) => (s.next, s.payload.is_none()),
-                        None => break,
-                    };
-                    if dead {
-                        self.free.push(si);
-                        self.cancelled -= 1;
-                    } else {
-                        if new_head == NIL {
-                            new_head = si;
-                        } else if let Some(prev) = self.slab.get_mut(new_tail as usize) {
-                            prev.next = si;
-                        }
-                        if let Some(s) = self.slab.get_mut(si as usize) {
-                            s.next = NIL;
-                        }
-                        new_tail = si;
-                    }
-                    si = next;
-                }
-                self.heads[lvl][pos] = new_head;
-                self.tails[lvl][pos] = new_tail;
-                if new_head == NIL {
-                    self.occ[lvl] &= !(1u64 << pos);
-                }
-            }
-        }
-        // The overdue heap: drain, keep live entries, free tombstones.
-        self.scratch.clear();
-        while let Some(Reverse((t, id, si))) = self.overdue.pop() {
-            match self.slab.get(si as usize) {
-                Some(s) if s.id == id && s.payload.is_some() => {
-                    self.scratch.push((t, id, si));
-                }
-                Some(s) if s.id == id => {
-                    self.free.push(si);
-                    self.cancelled -= 1;
-                }
-                _ => {}
-            }
-        }
-        for i in 0..self.scratch.len() {
-            self.overdue.push(Reverse(self.scratch[i]));
-        }
-        self.scratch.clear();
-        debug_assert_eq!(self.cancelled, 0, "sweep retires every tombstone");
-    }
-}
-
-impl<E> Scheduler<E> for TimingWheel<E> {
-    fn schedule(&mut self, at: Time, payload: E) -> EventId {
-        TimingWheel::schedule(self, at, payload)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        TimingWheel::cancel(self, id)
-    }
-    fn pop(&mut self) -> Option<(Time, E)> {
-        TimingWheel::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<Time> {
-        TimingWheel::peek_time(self)
-    }
-    fn now(&self) -> Time {
-        TimingWheel::now(self)
-    }
-    fn len(&self) -> usize {
-        TimingWheel::len(self)
-    }
-}
-
-impl<E> std::fmt::Debug for TimingWheel<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimingWheel")
-            .field("len", &self.live)
-            .field("now", &self.now)
-            .finish()
-    }
-}
+//! `events::tests` checks the queue's laws on a fresh queue, where ids
+//! start at 0 and slab slots are handed out in id order. These tests run
+//! the same scenarios (first written for the timing wheel the simulator
+//! used to schedule with, whose names they keep) on a queue that has
+//! already been through schedule/cancel/pop traffic: ids start far from
+//! 0, compaction has run, and the slab hands out freed slots in an order
+//! unrelated to the ids. The ordering law, cancel semantics and clock must
+//! not notice the difference.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::events::EventQueue;
+    use crate::time::{Duration, Time};
 
     fn at(ns: u64) -> Time {
         Time::ZERO + Duration::from_nanos(ns)
     }
 
+    /// An empty queue at [`Time::ZERO`] whose id counter, id ring and slab
+    /// free list carry the history of 64 events: every odd one cancelled
+    /// (which compacts the heap), the even ones popped.
+    fn recycled<E>(fill: impl Fn(u64) -> E) -> EventQueue<E> {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..64).map(|i| q.schedule(Time::ZERO, fill(i))).collect();
+        for id in ids.iter().skip(1).step_by(2) {
+            assert!(q.cancel(*id));
+        }
+        while q.pop().is_some() {}
+        assert!(q.is_empty());
+        assert_eq!(q.now(), Time::ZERO);
+        q
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| 0);
         w.schedule(at(30), 3);
         w.schedule(at(10), 1);
         w.schedule(at(20), 2);
@@ -722,7 +45,7 @@ mod tests {
 
     #[test]
     fn same_time_fires_in_scheduling_order() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| 0);
         for i in 0..100 {
             w.schedule(at(5), i);
         }
@@ -732,7 +55,7 @@ mod tests {
 
     #[test]
     fn now_advances_monotonically() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| ());
         w.schedule(at(50), ());
         w.pop();
         assert_eq!(w.now(), at(50));
@@ -745,7 +68,7 @@ mod tests {
 
     #[test]
     fn cancel_removes_event() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| ' ');
         let a = w.schedule(at(10), 'a');
         w.schedule(at(20), 'b');
         assert!(w.cancel(a));
@@ -756,7 +79,7 @@ mod tests {
 
     #[test]
     fn cancel_of_popped_id_is_false() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| ' ');
         let a = w.schedule(at(10), 'a');
         assert_eq!(w.pop().map(|(_, e)| e), Some('a'));
         assert!(!w.cancel(a));
@@ -765,7 +88,7 @@ mod tests {
 
     #[test]
     fn peek_skips_cancelled() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|_| ' ');
         let a = w.schedule(at(10), 'a');
         w.schedule(at(20), 'b');
         w.cancel(a);
@@ -774,17 +97,18 @@ mod tests {
 
     #[test]
     fn empty_wheel_behaviour() {
-        let mut w: TimingWheel<()> = TimingWheel::new();
+        let mut w = recycled(|_| ());
         assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.pop(), None);
         assert_eq!(w.peek_time(), None);
     }
 
     #[test]
     fn peek_then_past_schedule_keeps_global_order() {
-        // Peeking may advance the internal cursor far ahead; a schedule
-        // behind it (but after `now`) must still fire first.
-        let mut w = TimingWheel::new();
+        // A schedule behind the peeked head (but after `now`) still fires
+        // first.
+        let mut w = recycled(|_| ' ');
         w.schedule(at(1_000_000), 'z');
         assert_eq!(w.peek_time(), Some(at(1_000_000)));
         w.schedule(at(100), 'a');
@@ -796,13 +120,11 @@ mod tests {
 
     #[test]
     fn far_future_times_span_all_levels() {
-        // Timestamps chosen to exercise every wheel level including the
-        // truncated top one (bits 60..64).
-        let mut w = TimingWheel::new();
-        let mut times = Vec::new();
-        for lvl in 0..16 {
-            let t = 1u64 << (lvl * 4);
-            times.push(t);
+        // One timestamp per 4-bit digit of the picosecond domain, up to
+        // bits 60..64, scheduled in descending order.
+        let mut w = recycled(|i| i);
+        let mut times: Vec<u64> = (0..16).map(|k| 1u64 << (k * 4)).rev().collect();
+        for &t in &times {
             w.schedule(Time::ZERO + Duration::from_ps(t), t);
         }
         times.sort_unstable();
@@ -812,7 +134,7 @@ mod tests {
 
     #[test]
     fn cancel_heavy_plan_does_not_grow_the_wheel_unboundedly() {
-        let mut w = TimingWheel::new();
+        let mut w = recycled(|i| (i, 0));
         let mut kept = 0usize;
         for round in 0u64..200 {
             for i in 0..10 {
@@ -825,11 +147,10 @@ mod tests {
             }
         }
         assert_eq!(w.len(), kept);
-        let allocated = w.slab.len() - w.free.len();
         assert!(
-            allocated <= w.len() + w.len() / 2 + 1,
-            "tombstone debt unbounded: {} slots allocated for {} live events",
-            allocated,
+            w.heap_entries() <= w.len() + w.len() / 2 + 1,
+            "tombstone debt unbounded: {} heap entries for {} live events",
+            w.heap_entries(),
             w.len()
         );
         let mut last = Time::ZERO;
@@ -840,29 +161,5 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, kept);
-    }
-
-    #[test]
-    fn event_scheduler_dispatches_both_kinds() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut s: EventScheduler<u32> = EventScheduler::new(kind);
-            assert_eq!(s.kind(), kind);
-            let a = s.schedule(at(10), 1);
-            let b = s.schedule(at(5), 2);
-            let _ = b;
-            assert!(s.cancel(a));
-            assert_eq!(s.peek_time(), Some(at(5)));
-            assert_eq!(s.pop(), Some((at(5), 2)));
-            assert!(s.is_empty());
-        }
-    }
-
-    #[test]
-    fn scheduler_kind_parses_its_own_names() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("splay"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
     }
 }

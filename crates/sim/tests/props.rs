@@ -3,7 +3,6 @@
 use hwdp_sim::dist::{Latest, ScrambledZipfian, Zipfian};
 use hwdp_sim::events::EventQueue;
 use hwdp_sim::rng::Prng;
-use hwdp_sim::sched::TimingWheel;
 use hwdp_sim::stats::LatencyHist;
 use hwdp_sim::time::{Duration, Freq, Time};
 use proptest::prelude::*;
@@ -107,27 +106,26 @@ proptest! {
         }
     }
 
-    /// The timing wheel satisfies the same total-order law as the heap
-    /// queue: everything pops, in time order, FIFO among equal times
-    /// (the full observational diff lives in `tests/scheduler_diff.rs`).
+    /// A deadline-bounded drain pops exactly the events due by the
+    /// deadline and leaves every later one pending (the full
+    /// observational diff lives in `tests/scheduler_diff.rs`).
     #[test]
-    fn timing_wheel_total_order(times in prop::collection::vec(0u64..1000u64, 1..100)) {
-        let mut w = TimingWheel::new();
-        for (i, &t) in times.iter().enumerate() {
-            w.schedule(Time::ZERO + Duration::from_nanos(t), (t, i));
+    fn event_queue_pop_until_respects_deadline(
+        times in prop::collection::vec(0u64..1000u64, 1..100),
+        deadline in 0u64..1000
+    ) {
+        let mut q = EventQueue::new();
+        for &t in &times {
+            q.schedule(Time::ZERO + Duration::from_nanos(t), t);
         }
-        let mut popped = Vec::new();
-        while let Some((at, (t, i))) = w.pop() {
-            prop_assert_eq!(at.since_start().as_nanos(), t);
-            popped.push((t, i));
+        let cut = Time::ZERO + Duration::from_nanos(deadline);
+        let mut due = 0;
+        while let Some((_, t)) = q.pop_until(cut) {
+            prop_assert!(t <= deadline);
+            due += 1;
         }
-        prop_assert_eq!(popped.len(), times.len());
-        for win in popped.windows(2) {
-            prop_assert!(win[0].0 <= win[1].0, "time order");
-            if win[0].0 == win[1].0 {
-                prop_assert!(win[0].1 < win[1].1, "FIFO among equal times");
-            }
-        }
+        prop_assert_eq!(due, times.iter().filter(|&&t| t <= deadline).count());
+        prop_assert_eq!(q.len(), times.len() - due);
     }
 
     /// Cycle/duration conversions round-trip for any frequency.
