@@ -1,10 +1,12 @@
 //! Ablations of the design choices DESIGN.md calls out: `kpoold` (§IV-D),
-//! PMSHR capacity, free-page-queue depth, and the prefetch buffer.
+//! PMSHR capacity, free-queue depth, the prefetch buffer, and the §V
+//! extensions.
 //!
-//! The four knob sweeps (`kpoold`, PMSHR, free-queue depth, `kpted`
-//! period) run as `hwdp-harness` campaigns; the remaining extension
-//! tables still drive the simulator directly through [`fio_with`], which
-//! stays the parity reference the campaign tests pin against.
+//! Every table a [`JobSpec`] expresses runs as a `hwdp-harness` campaign
+//! (see [`crate::campaigns::Runs`]). Three tables keep their own
+//! `SystemBuilder`, each for a knob `JobSpec` lacks: the prefetch-buffer
+//! size, the outlier device of the long-I/O table, and the per-run seeds
+//! of the prefetching table.
 
 use hwdp_core::{Mode, SystemBuilder};
 use hwdp_harness::{Campaign, JobSpec, Scenario};
@@ -12,75 +14,46 @@ use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
 use hwdp_workloads::FioRandRead;
 
-use crate::campaigns::{self, CampaignResults};
+use crate::campaigns::{self, Runs};
 use crate::scenarios::Scale;
 use crate::tables::{pct, us, Table};
 
-fn fio_with(
+/// One HWDP FIO job per knob value: dataset 8:1, the builder-default
+/// 20 ms `kpted` period (harness jobs default to 1 ms), and `edit`
+/// applying each value to the job.
+fn fio_knob_sweep<K: Copy>(
+    name: &str,
     scale: &Scale,
     threads: usize,
-    tweak: impl Fn(hwdp_core::SystemBuilder) -> hwdp_core::SystemBuilder,
-) -> hwdp_core::RunResult {
-    let pages = scale.dataset_pages(8.0);
-    let mut sys = tweak(
-        SystemBuilder::new(Mode::Hwdp).memory_frames(scale.memory_frames).seed(scale.seed),
-    )
-    .build();
-    let file = sys.create_pattern_file("data", pages);
-    let region = sys.map_file(file);
-    for i in 0..threads {
-        // Same per-thread RNG derivation as the harness FioRand scenario,
-        // so campaign jobs reproduce these runs bit for bit.
-        let rng = Prng::seed_from(scale.seed ^ (0xF10 + i as u64));
-        sys.spawn(Box::new(FioRandRead::new(region, pages, scale.ops_per_thread, rng)), 1.8, None);
-    }
-    sys.run(scale.time_cap)
-}
-
-/// A single-job FIO campaign matching [`fio_with`]: HWDP, dataset 8:1,
-/// and the builder-default 20 ms `kpted` period (`fio_with` never
-/// overrides it, while harness jobs default to 1 ms).
-fn fio_ablation_base(name: &str, scale: &Scale, threads: usize) -> Campaign {
-    campaigns::scale_grid(name, scale)
+    values: &[K],
+    edit: impl Fn(&mut JobSpec, K),
+) -> Campaign {
+    let mut c = campaigns::scale_grid(name, scale)
         .scenarios([Scenario::FioRand])
         .modes([Mode::Hwdp])
         .threads([threads])
         .ratios([8.0])
         .tweak(|j| j.kpted_period_us = 20_000)
-        .expand()
-}
-
-/// Expands the base job into one job per knob edit.
-fn sweep_jobs(mut base: Campaign, edits: &[&dyn Fn(&mut JobSpec)]) -> Campaign {
-    let template = base.jobs[0];
-    base.jobs = edits
+        .expand();
+    let template = c.jobs[0];
+    c.jobs = values
         .iter()
-        .map(|edit| {
+        .map(|&value| {
             let mut job = template;
-            edit(&mut job);
+            edit(&mut job, value);
             job
         })
         .collect();
-    base
+    c
 }
 
 /// §IV-D kpoold ablation (off vs on) as a harness campaign.
 pub fn kpoold_campaign(scale: &Scale) -> Campaign {
-    sweep_jobs(
-        fio_ablation_base("abl-kpoold", scale, 2),
-        &[
-            &|j| {
-                j.free_queue_depth = Some(64);
-                j.kpoold_enabled = false;
-                j.kpoold_period_us = Some(300);
-            },
-            &|j| {
-                j.free_queue_depth = Some(64);
-                j.kpoold_enabled = true;
-                j.kpoold_period_us = Some(300);
-            },
-        ],
-    )
+    fio_knob_sweep("abl-kpoold", scale, 2, &[false, true], |j, enabled| {
+        j.free_queue_depth = Some(64);
+        j.kpoold_enabled = enabled;
+        j.kpoold_period_us = Some(300);
+    })
 }
 
 /// PMSHR entries swept by [`ablation_pmshr`].
@@ -88,17 +61,9 @@ pub const PMSHR_ENTRIES: [usize; 5] = [2, 4, 8, 16, 32];
 
 /// PMSHR capacity sweep as a harness campaign.
 pub fn pmshr_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-pmshr", scale, 8);
-    let template = c.jobs[0];
-    c.jobs = PMSHR_ENTRIES
-        .iter()
-        .map(|&entries| {
-            let mut job = template;
-            job.pmshr_entries = Some(entries);
-            job
-        })
-        .collect();
-    c
+    fio_knob_sweep("abl-pmshr", scale, 8, &PMSHR_ENTRIES, |j, entries| {
+        j.pmshr_entries = Some(entries);
+    })
 }
 
 /// Queue depths swept by [`ablation_free_queue`].
@@ -106,18 +71,10 @@ pub const FREE_QUEUE_DEPTHS: [usize; 4] = [16, 32, 64, 128];
 
 /// Free-page-queue depth sweep as a harness campaign.
 pub fn free_queue_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-freeq", scale, 4);
-    let template = c.jobs[0];
-    c.jobs = FREE_QUEUE_DEPTHS
-        .iter()
-        .map(|&depth| {
-            let mut job = template;
-            job.free_queue_depth = Some(depth);
-            job.kpoold_period_us = Some(500);
-            job
-        })
-        .collect();
-    c
+    fio_knob_sweep("abl-freeq", scale, 4, &FREE_QUEUE_DEPTHS, |j, depth| {
+        j.free_queue_depth = Some(depth);
+        j.kpoold_period_us = Some(500);
+    })
 }
 
 /// `kpted` periods (ms) swept by [`ablation_kpted`].
@@ -125,28 +82,37 @@ pub const KPTED_PERIODS_MS: [u64; 3] = [1, 5, 20];
 
 /// `kpted` period sweep as a harness campaign.
 pub fn kpted_campaign(scale: &Scale) -> Campaign {
-    let mut c = fio_ablation_base("abl-kpted", scale, 2);
-    let template = c.jobs[0];
-    c.jobs = KPTED_PERIODS_MS
-        .iter()
-        .map(|&ms| {
-            let mut job = template;
-            job.kpted_period_us = ms * 1_000;
-            job
-        })
-        .collect();
-    c
+    fio_knob_sweep("abl-kpted", scale, 2, &KPTED_PERIODS_MS, |j, ms| {
+        j.kpted_period_us = ms * 1_000;
+    })
+}
+
+/// §V per-core free-page queues (global vs per-core) as a harness
+/// campaign.
+pub fn per_core_campaign(scale: &Scale) -> Campaign {
+    fio_knob_sweep("ext-percore", scale, 8, &[false, true], |j, per_core| {
+        j.per_core_free_queues = per_core;
+        j.kpoold_period_us = Some(500);
+    })
+}
+
+/// §V anonymous paging: a quarter of the scaled DRAM churned over a region
+/// of the full scaled memory (4x), twice the per-thread op count, both
+/// modes.
+pub fn anon_campaign(scale: &Scale) -> Campaign {
+    campaigns::scale_grid("ext-anon", scale)
+        .scenarios([Scenario::Anon])
+        .modes([Mode::Osdp, Mode::Hwdp])
+        .ratios([4.0])
+        .memory_frames(scale.memory_frames / 4)
+        .ops(scale.ops_per_thread * 2)
+        .expand()
 }
 
 /// §IV-D: `kpoold` on/off — how many misses fall back to the OS because
 /// the free-page queue ran dry.
 pub fn ablation_kpoold(scale: &Scale) -> Table {
-    ablation_kpoold_with(scale, campaigns::default_workers())
-}
-
-/// [`ablation_kpoold`] with an explicit harness worker count.
-pub fn ablation_kpoold_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&kpoold_campaign(scale), workers);
+    let runs = Runs::collect(&kpoold_campaign(scale));
     let mut t = Table::new(
         "abl-kpoold",
         "kpoold ablation: OS-handled synchronous-refill faults (FIO, 2 threads)",
@@ -154,13 +120,13 @@ pub fn ablation_kpoold_with(scale: &Scale, workers: usize) -> Table {
     );
     let mut counts = Vec::new();
     for enabled in [false, true] {
-        let m = |name: &str| results.metric(name, |s| s.kpoold_enabled == enabled);
-        counts.push(m("sync_refill_faults"));
+        let r = runs.run_of(|s| s.kpoold_enabled == enabled);
+        counts.push(r.sync_refill_faults as f64);
         t.row(vec![
             if enabled { "on" } else { "off" }.into(),
-            (m("sync_refill_faults") as u64).to_string(),
-            (m("major_faults") as u64).to_string(),
-            us(Duration::from_nanos_f64(m("read_lat_mean_ns"))),
+            r.sync_refill_faults.to_string(),
+            r.os.major_faults.to_string(),
+            us(r.read_latency.mean()),
         ]);
     }
     if counts[0] > 0.0 {
@@ -174,24 +140,19 @@ pub fn ablation_kpoold_with(scale: &Scale, workers: usize) -> Table {
 
 /// PMSHR capacity sweep: outstanding-miss concurrency vs stalls.
 pub fn ablation_pmshr(scale: &Scale) -> Table {
-    ablation_pmshr_with(scale, campaigns::default_workers())
-}
-
-/// [`ablation_pmshr`] with an explicit harness worker count.
-pub fn ablation_pmshr_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&pmshr_campaign(scale), workers);
+    let runs = Runs::collect(&pmshr_campaign(scale));
     let mut t = Table::new(
         "abl-pmshr",
         "PMSHR size sweep (FIO, 8 threads)",
         &["entries", "pmshr-full stalls", "mean read latency", "throughput (ops/s)"],
     );
     for entries in PMSHR_ENTRIES {
-        let m = |name: &str| results.metric(name, |s| s.pmshr_entries == Some(entries));
+        let r = runs.run_of(|s| s.pmshr_entries == Some(entries));
         t.row(vec![
             entries.to_string(),
-            (m("pmshr_stalls") as u64).to_string(),
-            us(Duration::from_nanos_f64(m("read_lat_mean_ns"))),
-            format!("{:.0}", m("throughput_ops_s")),
+            r.pmshr_stalls.to_string(),
+            us(r.read_latency.mean()),
+            format!("{:.0}", r.throughput_ops_s()),
         ]);
     }
     t.note("paper §III-C: 32 entries 'works well in our setup' — stalls vanish well before 32");
@@ -200,23 +161,18 @@ pub fn ablation_pmshr_with(scale: &Scale, workers: usize) -> Table {
 
 /// Free-page queue depth sweep.
 pub fn ablation_free_queue(scale: &Scale) -> Table {
-    ablation_free_queue_with(scale, campaigns::default_workers())
-}
-
-/// [`ablation_free_queue`] with an explicit harness worker count.
-pub fn ablation_free_queue_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&free_queue_campaign(scale), workers);
+    let runs = Runs::collect(&free_queue_campaign(scale));
     let mut t = Table::new(
         "abl-freeq",
         "free-page queue depth sweep (FIO, 4 threads)",
         &["depth", "sync-refill faults", "mean read latency"],
     );
     for depth in FREE_QUEUE_DEPTHS {
-        let m = |name: &str| results.metric(name, |s| s.free_queue_depth == Some(depth));
+        let r = runs.run_of(|s| s.free_queue_depth == Some(depth));
         t.row(vec![
             depth.to_string(),
-            (m("sync_refill_faults") as u64).to_string(),
-            us(Duration::from_nanos_f64(m("read_lat_mean_ns"))),
+            r.sync_refill_faults.to_string(),
+            us(r.read_latency.mean()),
         ]);
     }
     t.note("deeper queues absorb burstier miss streams between kpoold wakeups");
@@ -230,8 +186,19 @@ pub fn ablation_prefetch(scale: &Scale) -> Table {
         "free-page prefetch buffer (FIO, 1 thread)",
         &["prefetch entries", "mean miss latency"],
     );
+    let pages = scale.dataset_pages(8.0);
     for entries in [1usize, 16] {
-        let r = fio_with(scale, 1, |b| b.tweak(move |c| c.prefetch_entries = entries));
+        // Its own builder: `JobSpec` has no `prefetch_entries` knob.
+        let mut sys = SystemBuilder::new(Mode::Hwdp)
+            .memory_frames(scale.memory_frames)
+            .seed(scale.seed)
+            .tweak(move |c| c.prefetch_entries = entries)
+            .build();
+        let file = sys.create_pattern_file("data", pages);
+        let region = sys.map_file(file);
+        let rng = Prng::seed_from(scale.seed ^ 0xF10);
+        sys.spawn(Box::new(FioRandRead::new(region, pages, scale.ops_per_thread, rng)), 1.8, None);
+        let r = sys.run(scale.time_cap);
         t.row(vec![entries.to_string(), us(r.miss_latency.mean())]);
     }
     t.note("§III-C: eager prefetch hides the free-page memory read (Fig. 11(b) shows it as free)");
@@ -242,23 +209,14 @@ pub fn ablation_prefetch(scale: &Scale) -> Table {
 /// (no I/O) against swap-in (device read) and against file-backed misses,
 /// per mode.
 pub fn extension_anon(scale: &Scale) -> Table {
-    use hwdp_workloads::ScratchChurn;
+    let runs = Runs::collect(&anon_campaign(scale));
     let mut t = Table::new(
         "ext-anon",
         "anonymous demand paging (§V): first-touch vs swap, all modes",
         &["mode", "zero-fills", "swap-ins", "writebacks", "mean miss", "verified"],
     );
     for mode in [Mode::Osdp, Mode::Hwdp] {
-        let mut sys = SystemBuilder::new(mode)
-            .memory_frames(scale.memory_frames / 4)
-            .kpted_period(Duration::from_millis(1))
-            .seed(scale.seed)
-            .build();
-        let pages = scale.memory_frames as u64; // 4x the scaled memory
-        let region = sys.map_anon(pages);
-        let rng = Prng::seed_from(scale.seed ^ 0xA40);
-        sys.spawn(Box::new(ScratchChurn::new(region, pages, scale.ops_per_thread * 2, rng)), 1.6, None);
-        let r = sys.run(scale.time_cap);
+        let r = runs.run_of(|s| s.mode == mode);
         t.row(vec![
             mode.label().into(),
             if mode == Mode::Hwdp {
@@ -279,123 +237,36 @@ pub fn extension_anon(scale: &Scale) -> Table {
 
 /// `kpted` period sweep: staleness of OS metadata vs scan overhead.
 pub fn ablation_kpted(scale: &Scale) -> Table {
-    ablation_kpted_with(scale, campaigns::default_workers())
-}
-
-/// [`ablation_kpted`] with an explicit harness worker count.
-pub fn ablation_kpted_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&kpted_campaign(scale), workers);
+    let runs = Runs::collect(&kpted_campaign(scale));
     let mut t = Table::new(
         "abl-kpted",
         "kpted period sweep (FIO, 2 threads, dataset 8:1)",
         &["period", "scans", "pages synced", "kpted instr"],
     );
     for ms in KPTED_PERIODS_MS {
-        let m = |name: &str| results.metric(name, |s| s.kpted_period_us == ms * 1_000);
+        let r = runs.run_of(|s| s.kpted_period_us == ms * 1_000);
         t.row(vec![
             format!("{ms}ms"),
-            (m("kpted_scans") as u64).to_string(),
-            (m("kpted_synced") as u64).to_string(),
-            (m("kpted_instr") as u64).to_string(),
+            r.os.kpted_scans.to_string(),
+            r.os.kpted_synced.to_string(),
+            r.kernel.kpted_instr.to_string(),
         ]);
     }
     t.note("paper §VI-C: a 1 s period is safe because rotating the whole LRU takes ≥10 s");
     t
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kpoold_ablation_shows_reduction() {
-        let t = ablation_kpoold(&Scale::quick());
-        assert_eq!(t.rows.len(), 2);
-        let without: u64 = t.rows[0][1].parse().unwrap();
-        let with: u64 = t.rows[1][1].parse().unwrap();
-        assert!(without > with, "kpoold must reduce refill faults: {without} -> {with}");
-    }
-
-    #[test]
-    fn pmshr_sweep_monotonic_stalls() {
-        let t = ablation_pmshr(&Scale::quick());
-        let stalls: Vec<u64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        assert!(stalls[0] >= stalls[stalls.len() - 1], "more entries, fewer stalls: {stalls:?}");
-        // With the paper's 32 entries there should be almost no stalls.
-        assert!(stalls[stalls.len() - 1] <= stalls[0]);
-    }
-
-    #[test]
-    fn pmshr_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 8, |b| b.pmshr_entries(4));
-        let campaign = pmshr_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.pmshr_entries == Some(4)).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("pmshr_stalls"), legacy.pmshr_stalls as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-    }
-
-    #[test]
-    fn kpoold_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 2, |b| {
-            b.free_queue_depth(64)
-                .kpoold(false)
-                .tweak(|c| c.kpoold_period = Duration::from_micros(300))
-        });
-        let campaign = kpoold_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| !j.kpoold_enabled).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("sync_refill_faults"), legacy.sync_refill_faults as f64);
-        assert_eq!(get("major_faults"), legacy.os.major_faults as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-    }
-
-    #[test]
-    fn free_queue_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 4, |b| {
-            b.free_queue_depth(32).tweak(|c| c.kpoold_period = Duration::from_micros(500))
-        });
-        let campaign = free_queue_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.free_queue_depth == Some(32)).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("sync_refill_faults"), legacy.sync_refill_faults as f64);
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-    }
-
-    #[test]
-    fn kpted_campaign_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = fio_with(&scale, 2, |b| b.kpted_period(Duration::from_millis(5)));
-        let campaign = kpted_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.kpted_period_us == 5_000).unwrap();
-        let metrics = hwdp_harness::runner::run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("kpted_scans"), legacy.os.kpted_scans as f64);
-        assert_eq!(get("kpted_synced"), legacy.os.kpted_synced as f64);
-        assert_eq!(get("kpted_instr"), legacy.kernel.kpted_instr as f64);
-    }
-}
-
 /// §V extension: per-core free-page queues vs the global queue (FIO,
 /// 8 threads). Throughput parity plus per-thread policy enforcement.
 pub fn extension_per_core_queues(scale: &Scale) -> Table {
+    let runs = Runs::collect(&per_core_campaign(scale));
     let mut t = Table::new(
         "ext-percore",
         "per-core free-page queues (§V future work) vs global queue (FIO, 8 threads)",
         &["queues", "sync-refill faults", "mean read latency", "throughput (ops/s)"],
     );
     for per_core in [false, true] {
-        let r = fio_with(scale, 8, |b| {
-            b.per_core_free_queues(per_core)
-                .tweak(|c| c.kpoold_period = Duration::from_micros(500))
-        });
+        let r = runs.run_of(|s| s.per_core_free_queues == per_core);
         t.row(vec![
             if per_core { "per-core (16)" } else { "global (1)" }.into(),
             r.sync_refill_faults.to_string(),
@@ -426,7 +297,9 @@ pub fn extension_long_io(_scale: &Scale) -> Table {
         &["policy", "timeout switches", "elapsed", "throughput (ops/s)"],
     );
     for timeout in [false, true] {
-        let mut b = hwdp_core::SystemBuilder::new(Mode::Hwdp)
+        // Its own builder: `JobSpec` has no custom device profile, no
+        // single-context topology and no per-thread seeds.
+        let mut b = SystemBuilder::new(Mode::Hwdp)
             .physical_cores(1)
             .tweak(|c| c.smt_ways = 1)
             .memory_frames(512)
@@ -467,6 +340,8 @@ pub fn extension_prefetching(scale: &Scale) -> Table {
     );
     let pages = scale.dataset_pages(8.0);
     let mut run = |mode: Mode, ra: usize, pf: usize, random: bool, label: &str| {
+        // Its own builder: the random runs draw from `seed ^ 3`, a seed
+        // `JobSpec`'s FIO scenario does not derive.
         let mut sys = SystemBuilder::new(mode)
             .memory_frames(scale.memory_frames)
             .readahead_pages(ra)
@@ -500,4 +375,27 @@ pub fn extension_prefetching(scale: &Scale) -> Table {
     t.note("§VI-A: 'readahead is disabled because it results in performance degradation");
     t.note("for the workloads we tested' — true for random, inverted for sequential.");
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kpoold_ablation_shows_reduction() {
+        let t = ablation_kpoold(&Scale::quick());
+        assert_eq!(t.rows.len(), 2);
+        let without: u64 = t.rows[0][1].parse().unwrap();
+        let with: u64 = t.rows[1][1].parse().unwrap();
+        assert!(without > with, "kpoold must reduce refill faults: {without} -> {with}");
+    }
+
+    #[test]
+    fn pmshr_sweep_monotonic_stalls() {
+        let t = ablation_pmshr(&Scale::quick());
+        let stalls: Vec<u64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
+        assert!(stalls[0] >= stalls[stalls.len() - 1], "more entries, fewer stalls: {stalls:?}");
+        // With the paper's 32 entries there should be almost no stalls.
+        assert!(stalls[stalls.len() - 1] <= stalls[0]);
+    }
 }

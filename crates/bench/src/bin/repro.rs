@@ -5,33 +5,28 @@
 //! cargo run -p hwdp-bench --bin repro --release -- fig12    # one experiment
 //! cargo run -p hwdp-bench --bin repro --release -- --quick  # smaller scale
 //! cargo run -p hwdp-bench --bin repro --release -- --markdown > results.md
-//! cargo run -p hwdp-bench --bin repro --release -- --workers 8
 //! ```
+//!
+//! Campaign-backed tables run on a worker pool sized to the machine
+//! (`campaigns::default_workers`); the output does not depend on it.
+
+use std::process::ExitCode;
 
 use hwdp_bench::scenarios::Scale;
-use hwdp_bench::{all_tables_with, campaigns, figures};
+use hwdp_bench::{all_tables, figures};
 
-fn main() {
+const USAGE: &str = "usage: repro [--quick] [--markdown] [TABLE-ID-SUBSTRING ...]";
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let markdown = args.iter().any(|a| a == "--markdown");
-    // Worker-pool size for the campaign-backed figures; results are
-    // identical for any value (harness determinism), only wall time moves.
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(campaigns::default_workers);
-    let filter: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(i.checked_sub(1).and_then(|p| args.get(p)), Some(prev) if prev == "--workers")
-        })
-        .map(|(_, a)| a)
-        .collect();
+    let (flags, filter): (Vec<&str>, Vec<&str>) =
+        args.iter().map(String::as_str).partition(|a| a.starts_with("--"));
+    if let Some(unknown) = flags.iter().find(|f| !matches!(**f, "--quick" | "--markdown")) {
+        eprintln!("repro: unknown option '{unknown}'\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    let quick = flags.contains(&"--quick");
+    let markdown = flags.contains(&"--markdown");
 
     let scale = if quick { Scale::quick() } else { Scale::default() };
 
@@ -40,8 +35,8 @@ fn main() {
         println!("{}", figures::table2_config());
     }
 
-    for table in all_tables_with(&scale, workers) {
-        if !filter.is_empty() && !filter.iter().any(|f| table.id.contains(f.as_str())) {
+    for table in all_tables(&scale) {
+        if !filter.is_empty() && !filter.iter().any(|f| table.id.contains(f)) {
             continue;
         }
         if markdown {
@@ -50,4 +45,5 @@ fn main() {
             println!("{table}");
         }
     }
+    ExitCode::SUCCESS
 }

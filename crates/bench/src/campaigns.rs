@@ -1,16 +1,18 @@
 //! Harness campaigns behind the repro figures.
 //!
-//! Fig. 12/13/17 used to drive the simulator through bespoke nested
-//! loops; they now expand to `hwdp-harness` [`Campaign`]s and execute on
-//! a worker pool. Campaigns use `fixed_seed` (every job gets the scale's
-//! master seed) and the harness runner mirrors [`crate::scenarios`]'s
-//! setup exactly, so the figure numbers are identical to the historical
-//! loop-based ones — worker count only changes wall time.
+//! Every simulated table whose runs a [`JobSpec`] expresses is a
+//! `hwdp-harness` [`Campaign`] run through the harness runner
+//! ([`simulate`]) on a worker pool; [`Runs`] hands the figure the typed
+//! `RunResult` of each job. Campaigns use `fixed_seed` (every job gets the
+//! scale's master seed), so the tables in EXPERIMENTS.md regenerate bit
+//! for bit — worker count only changes wall time.
 
-use hwdp_core::Mode;
+use hwdp_core::{Mode, RunResult};
+use hwdp_harness::executor::execute_with;
+use hwdp_harness::runner::simulate;
 use hwdp_harness::{
-    execute_campaign, progress::Silent, Artifact, Campaign, DeviceKind, Grid, PolicyKind,
-    Scenario, SmtPartner, TierSpec,
+    progress::Silent, Campaign, DeviceKind, Grid, JobOutcome, JobSpec, PolicyKind, Scenario,
+    SmtPartner, TierSpec,
 };
 use hwdp_workloads::YcsbKind;
 
@@ -47,6 +49,20 @@ pub(crate) fn scale_grid(name: &str, scale: &Scale) -> Grid {
         .fixed_seed()
 }
 
+/// Dataset:memory ratios of Fig. 1.
+pub const FIG01_RATIOS: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+
+/// Fig. 1: YCSB-C under OSDP with 4 threads as the dataset outgrows
+/// memory.
+pub fn fig01_campaign(scale: &Scale) -> Campaign {
+    scale_grid("fig01", scale)
+        .scenarios([Scenario::Ycsb(YcsbKind::C)])
+        .modes([Mode::Osdp])
+        .threads([4])
+        .ratios(FIG01_RATIOS)
+        .expand()
+}
+
 /// Fig. 12: FIO latency, OSDP vs HWDP, across thread counts (dataset
 /// 8:1).
 pub fn fig12_campaign(scale: &Scale) -> Campaign {
@@ -80,6 +96,12 @@ fn ycsb_4t_grid(name: &str, scale: &Scale) -> Grid {
         .ratios([2.0])
 }
 
+/// Fig. 4's OSDP half: the cold YCSB-C 4-thread run at 2:1 (the ideal
+/// half pre-populates memory, which a `JobSpec` cannot express).
+pub fn fig04_campaign(scale: &Scale) -> Campaign {
+    ycsb_4t_grid("fig04", scale).modes([Mode::Osdp]).expand()
+}
+
 /// Fig. 14: YCSB-C throughput, user IPC and user-level miss events,
 /// OSDP vs HWDP.
 pub fn fig14_campaign(scale: &Scale) -> Campaign {
@@ -96,11 +118,9 @@ pub fn fig15_campaign(scale: &Scale) -> Campaign {
 /// kernel on context 1 of the same physical core, a 20 ms window, both
 /// modes.
 ///
-/// Mirrors `scenarios::run_smt_corun`: FIO ops are effectively unbounded
-/// (`1 << 62` rather than the bespoke `u64::MAX / 2`, which is not exactly
-/// representable as f64 and would drift through the JSON round-trip; the
-/// window ends the run long before either bound) and `kpted` keeps the
-/// builder-default 20 ms period the bespoke loop never overrode.
+/// FIO ops are effectively unbounded (`1 << 62`, exactly representable
+/// as f64 so it survives the JSON round-trip; the window ends the run
+/// long before it) and `kpted` runs at the builder-default 20 ms period.
 pub fn fig16_campaign(scale: &Scale) -> Campaign {
     scale_grid("fig16", scale)
         .scenarios(SmtPartner::ALL.map(Scenario::SmtCorun))
@@ -147,59 +167,45 @@ pub fn tier_campaign(scale: &Scale) -> Campaign {
     Campaign { name: "tier".into(), seed: scale.seed, jobs }
 }
 
-/// Fig. 17: closed-form single-fault anatomy, SW-only vs HWDP, across
-/// the three device profiles.
-pub fn fig17_campaign() -> Campaign {
-    Grid::new("fig17", 0)
-        .scenarios([Scenario::Anatomy])
-        .modes([Mode::SwOnly, Mode::Hwdp])
-        .devices([DeviceKind::ZSsd, DeviceKind::OptaneSsd, DeviceKind::OptanePmm])
-        .expand()
+/// Typed results of a figure campaign: each job's spec beside the
+/// `RunResult` the harness runner produced for it.
+pub struct Runs {
+    runs: Vec<(JobSpec, RunResult)>,
 }
 
-/// Figure-campaign results with metric lookup by configuration.
-pub struct CampaignResults {
-    artifact: Artifact,
-}
-
-impl CampaignResults {
-    /// Executes `campaign` on `workers` threads.
+impl Runs {
+    /// Runs every job of `campaign` through [`simulate`] on
+    /// [`default_workers`] threads.
     ///
     /// # Panics
     ///
     /// Panics if any job fails — figure inputs must be complete.
-    pub fn collect(campaign: &Campaign, workers: usize) -> CampaignResults {
-        let artifact = execute_campaign(campaign, workers, &mut Silent);
-        if let Some(job) = artifact.jobs.iter().find(|j| !j.is_ok()) {
-            panic!("figure job {} failed: {:?}", job.spec.label(), job.status);
-        }
-        CampaignResults { artifact }
+    pub fn collect(campaign: &Campaign) -> Runs {
+        let outcomes = execute_with(campaign, default_workers(), &mut Silent, simulate);
+        let runs = campaign
+            .jobs
+            .iter()
+            .zip(outcomes)
+            .map(|(spec, (outcome, _))| match outcome {
+                JobOutcome::Ok(result) => (*spec, result),
+                failed => panic!("figure job {} failed: {failed:?}", spec.label()),
+            })
+            .collect();
+        Runs { runs }
     }
 
-    /// The underlying artifact (e.g. to persist alongside the tables).
-    pub fn artifact(&self) -> &Artifact {
-        &self.artifact
-    }
-
-    /// The named metric of the unique job matching `predicate`.
+    /// The run of the first job matching `predicate`.
     ///
     /// # Panics
     ///
-    /// Panics when no job matches or the metric is absent — a figure
-    /// querying a job outside its own campaign is a bug.
-    pub fn metric(
-        &self,
-        name: &str,
-        predicate: impl Fn(&hwdp_harness::JobSpec) -> bool,
-    ) -> f64 {
-        let job = self
-            .artifact
-            .jobs
+    /// Panics when no job matches — a figure querying a job outside its
+    /// own campaign is a bug.
+    pub fn run_of(&self, predicate: impl Fn(&JobSpec) -> bool) -> &RunResult {
+        self.runs
             .iter()
-            .find(|j| predicate(&j.spec))
-            .unwrap_or_else(|| panic!("no job in '{}' matches", self.artifact.campaign));
-        job.metric(name)
-            .unwrap_or_else(|| panic!("job {} has no metric '{name}'", job.spec.label()))
+            .find(|(spec, _)| predicate(spec))
+            .map(|(_, result)| result)
+            .unwrap_or_else(|| panic!("no job in the campaign matches"))
     }
 }
 
@@ -211,12 +217,13 @@ mod tests {
     #[test]
     fn campaign_sizes() {
         let scale = Scale::quick();
+        assert_eq!(fig01_campaign(&scale).jobs.len(), FIG01_RATIOS.len());
+        assert_eq!(fig04_campaign(&scale).jobs.len(), 1);
         assert_eq!(fig12_campaign(&scale).jobs.len(), 2 * THREADS.len());
         assert_eq!(fig13_campaign(&scale).jobs.len(), 8 * 2 * THREADS.len());
         assert_eq!(fig14_campaign(&scale).jobs.len(), 2);
         assert_eq!(fig15_campaign(&scale).jobs.len(), 2);
         assert_eq!(fig16_campaign(&scale).jobs.len(), 6 * 2);
-        assert_eq!(fig17_campaign().jobs.len(), 2 * 3);
         assert_eq!(tier_campaign(&scale).jobs.len(), PolicyKind::ALL.len() * 2);
     }
 
@@ -245,114 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn harness_runner_matches_legacy_scenario_loop() {
-        // The contract the figure migration rests on: a harness job with
-        // the scale's seed reproduces scenarios::run_fio exactly.
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_fio(Mode::Hwdp, 2, 4.0, &scale);
-        let campaign = scale_grid("parity", &scale)
-            .scenarios([Scenario::FioRand])
-            .modes([Mode::Hwdp])
-            .threads([2])
-            .ratios([4.0])
-            .expand();
-        let metrics = run_job(&campaign.jobs[0]);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("ops"), legacy.ops as f64);
-        assert_eq!(get("elapsed_ns"), legacy.elapsed.as_nanos_f64());
-        assert_eq!(get("read_lat_mean_ns"), legacy.read_latency.mean().as_nanos_f64());
-        assert_eq!(get("device_reads"), legacy.device_reads as f64);
-        assert_eq!(get("user_instructions"), legacy.perf.user_instructions as f64);
-    }
-
-    #[test]
-    fn kv_parity_with_legacy_loop() {
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_kv(
-            Mode::Osdp,
-            crate::scenarios::KvWorkload::Ycsb(YcsbKind::C),
-            1,
-            2.0,
-            &scale,
-        );
-        let campaign = scale_grid("parity-kv", &scale)
-            .scenarios([Scenario::Ycsb(YcsbKind::C)])
-            .modes([Mode::Osdp])
-            .expand();
-        let metrics = run_job(&campaign.jobs[0]);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-        assert_eq!(get("elapsed_ns"), legacy.elapsed.as_nanos_f64());
-    }
-
-    #[test]
-    fn fig14_campaign_parity_with_legacy_kv_loop() {
-        // Fig. 14/15 rest on this: the campaign's YCSB-C/4-thread job is
-        // the exact run the bespoke `run_kv` loop produced.
-        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
-        let legacy = crate::scenarios::run_kv(
-            Mode::Hwdp,
-            crate::scenarios::KvWorkload::Ycsb(YcsbKind::C),
-            4,
-            2.0,
-            &scale,
-        );
-        let campaign = fig14_campaign(&scale);
-        let job = campaign.jobs.iter().find(|j| j.mode == Mode::Hwdp).unwrap();
-        let metrics = run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("throughput_ops_s"), legacy.throughput_ops_s());
-        assert_eq!(get("user_ipc"), legacy.user_ipc());
-        assert_eq!(get("user_instructions"), legacy.perf.user_instructions as f64);
-        assert_eq!(get("l1d_misses"), legacy.perf.l1d_misses as f64);
-        assert_eq!(get("app_kernel_instr"), legacy.kernel.app_kernel_instr as f64);
-        assert_eq!(get("kpted_instr"), legacy.kernel.kpted_instr as f64);
-        assert_eq!(get("kpoold_instr"), legacy.kernel.kpoold_instr as f64);
-    }
-
-    #[test]
-    fn fig16_campaign_parity_with_legacy_smt_loop() {
-        // The per-thread keys behind Fig. 16 reproduce run_smt_corun's
-        // SmtCorun struct field for field.
-        let scale = Scale::quick();
-        let legacy = crate::scenarios::run_smt_corun(
-            Mode::Hwdp,
-            hwdp_workloads::SpecProfile::by_name("mcf").unwrap(),
-            &scale,
-            hwdp_sim::time::Duration::from_millis(20),
-        );
-        let campaign = fig16_campaign(&scale);
-        let job = campaign
-            .jobs
-            .iter()
-            .find(|j| {
-                j.mode == Mode::Hwdp && j.scenario == Scenario::SmtCorun(SmtPartner::Mcf)
-            })
-            .unwrap();
-        let metrics = run_job(job);
-        let get = |n: &str| metrics.iter().find(|(k, _)| k == n).unwrap().1;
-        assert_eq!(get("thread/0/ops"), legacy.fio_ops as f64);
-        assert_eq!(get("thread/0/user_instructions"), legacy.fio_user_instr as f64);
-        assert_eq!(
-            get("thread/0/user_instructions") + get("thread/0/kernel_instructions"),
-            legacy.fio_total_instr as f64
-        );
-        assert_eq!(get("thread/1/user_ipc"), legacy.spec_ipc);
-        assert_eq!(get("thread/1/user_instructions"), legacy.spec_instr as f64);
-        assert_eq!(get("thread/0/hw_context"), 0.0);
-        assert_eq!(get("thread/1/hw_context"), 1.0);
-    }
-
-    #[test]
     fn results_lookup_panics_on_missing_job() {
-        let results = CampaignResults::collect(&fig17_campaign(), 2);
-        let total = results.metric("anatomy_total_ns", |s| {
-            s.mode == Mode::Hwdp && s.device == DeviceKind::ZSsd
-        });
-        assert!(total > 0.0);
+        let scale = Scale { memory_frames: 128, ops_per_thread: 60, ..Scale::quick() };
+        let runs = Runs::collect(&fig14_campaign(&scale));
+        assert_eq!(runs.run_of(|s| s.mode == Mode::Hwdp).ops, 4 * 60);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            results.metric("anatomy_total_ns", |s| s.mode == Mode::Osdp)
+            runs.run_of(|s| s.mode == Mode::SwOnly).ops
         }));
-        assert!(r.is_err(), "OSDP is not part of fig17");
+        assert!(r.is_err(), "SW-only is not part of fig14");
     }
 }

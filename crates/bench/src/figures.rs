@@ -6,12 +6,12 @@
 //! comparison. `repro` prints all of them and EXPERIMENTS.md records a
 //! reference run.
 
-use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, Anatomy};
+use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, swonly_anatomy, Anatomy};
 use hwdp_core::{Mode, SystemConfig};
 use hwdp_mem::addr::{BlockRef, DeviceId, Lba, Pfn, SocketId};
 use hwdp_mem::pte::{Pte, PteFlags};
 use hwdp_nvme::profile::DeviceProfile;
-use hwdp_os::costs::OsdpCosts;
+use hwdp_os::costs::{OsdpCosts, SwOnlyCosts};
 use hwdp_smu::area::SmuArea;
 use hwdp_smu::timing::SmuTiming;
 use hwdp_sim::time::Duration;
@@ -19,8 +19,8 @@ use hwdp_workloads::YcsbKind;
 
 use hwdp_harness::{DeviceKind, Scenario, SmtPartner};
 
-use crate::campaigns::{self, CampaignResults};
-use crate::scenarios::{run_kv, KvWorkload, Scale};
+use crate::campaigns::{self, Runs};
+use crate::scenarios::Scale;
 use crate::tables::{f2, f3, pct, us, Table};
 
 /// Thread counts used by Figs. 12/13.
@@ -35,9 +35,10 @@ pub fn fig01_breakdown(scale: &Scale) -> Table {
         "YCSB-C execution-time breakdown vs dataset:memory ratio (OSDP, 4 threads)",
         &["dataset:memory", "norm. exec time", "compute", "page fault"],
     );
+    let runs = Runs::collect(&campaigns::fig01_campaign(scale));
     let mut base_per_op: Option<f64> = None;
-    for ratio in [1.0, 2.0, 3.0, 4.0] {
-        let r = run_kv(Mode::Osdp, KvWorkload::Ycsb(YcsbKind::C), 4, ratio, scale);
+    for ratio in campaigns::FIG01_RATIOS {
+        let r = runs.run_of(|s| s.ratio == ratio);
         let per_op = r.elapsed.as_nanos_f64() / r.ops.max(1) as f64;
         let base = *base_per_op.get_or_insert(per_op);
         let mut compute = Duration::ZERO;
@@ -119,7 +120,8 @@ fn anatomy_table(id: &'static str, title: &str, a: &Anatomy) -> Table {
 /// Fig. 4: ideal (pre-loaded, no faults) vs OSDP on YCSB-C — throughput,
 /// user IPC and user-level miss events.
 pub fn fig04_pollution(scale: &Scale) -> Table {
-    // Ideal: the dataset fits in memory and is pre-populated.
+    // Ideal: the dataset fits in memory and is pre-populated — its own
+    // builder, because `JobSpec` has no pre-populated mapping knob.
     let ideal = {
         use hwdp_core::SystemBuilder;
         use hwdp_os::vma::MmapFlags;
@@ -139,7 +141,8 @@ pub fn fig04_pollution(scale: &Scale) -> Table {
         sys.run(scale.time_cap)
     };
     // OSDP: same per-thread op count but dataset at 2:1, cold.
-    let osdp = run_kv(Mode::Osdp, KvWorkload::Ycsb(YcsbKind::C), 4, 2.0, scale);
+    let runs = Runs::collect(&campaigns::fig04_campaign(scale));
+    let osdp = runs.run_of(|s| s.mode == Mode::Osdp);
 
     let mut t = Table::new(
         "fig04",
@@ -281,23 +284,16 @@ pub struct Fig12Row {
 
 /// Fig. 12: demand-paging (4 KiB read) latency vs thread count.
 pub fn fig12_latency(scale: &Scale) -> (Table, Vec<Fig12Row>) {
-    fig12_latency_with(scale, campaigns::default_workers())
-}
-
-/// [`fig12_latency`] with an explicit harness worker count.
-pub fn fig12_latency_with(scale: &Scale, workers: usize) -> (Table, Vec<Fig12Row>) {
     let mut t = Table::new(
         "fig12",
         "FIO mmap 4 KiB randread latency vs threads (dataset 8:1)",
         &["threads", "OSDP", "HWDP", "reduction"],
     );
-    let results = CampaignResults::collect(&campaigns::fig12_campaign(scale), workers);
+    let runs = Runs::collect(&campaigns::fig12_campaign(scale));
     let mut rows = Vec::new();
     for &threads in &THREADS {
         let mean = |mode: Mode| {
-            Duration::from_nanos_f64(results.metric("read_lat_mean_ns", |s| {
-                s.mode == mode && s.threads == threads
-            }))
+            runs.run_of(|s| s.mode == mode && s.threads == threads).read_latency.mean()
         };
         let (o, h) = (mean(Mode::Osdp), mean(Mode::Hwdp));
         let reduction = 1.0 - h.as_nanos_f64() / o.as_nanos_f64();
@@ -313,11 +309,6 @@ pub fn fig12_latency_with(scale: &Scale, workers: usize) -> (Table, Vec<Fig12Row
 /// Fig. 13: throughput improvement of HWDP over OSDP across workloads and
 /// thread counts.
 pub fn fig13_throughput(scale: &Scale) -> Table {
-    fig13_throughput_with(scale, campaigns::default_workers())
-}
-
-/// [`fig13_throughput`] with an explicit harness worker count.
-pub fn fig13_throughput_with(scale: &Scale, workers: usize) -> Table {
     let mut headers = vec!["workload".to_string()];
     headers.extend(THREADS.iter().map(|t| format!("{t} thr")));
     let mut t = Table::new(
@@ -325,15 +316,14 @@ pub fn fig13_throughput_with(scale: &Scale, workers: usize) -> Table {
         "throughput gain of HWDP over OSDP (dataset 2:1)",
         &headers.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
     );
-    let results = CampaignResults::collect(&campaigns::fig13_campaign(scale), workers);
+    let runs = Runs::collect(&campaigns::fig13_campaign(scale));
     // FIO first, then DBBench and YCSB A–F, as in the paper.
     for scenario in campaigns::FIG13_SCENARIOS {
         let mut row = vec![scenario.name().to_string()];
         for &threads in &THREADS {
             let tp = |mode: Mode| {
-                results.metric("throughput_ops_s", |s| {
-                    s.scenario == scenario && s.mode == mode && s.threads == threads
-                })
+                runs.run_of(|s| s.scenario == scenario && s.mode == mode && s.threads == threads)
+                    .throughput_ops_s()
             };
             row.push(pct(tp(Mode::Hwdp) / tp(Mode::Osdp) - 1.0));
         }
@@ -348,37 +338,25 @@ pub fn fig13_throughput_with(scale: &Scale, workers: usize) -> Table {
 /// Fig. 14: YCSB-C with 4 threads — normalized throughput, user IPC and
 /// user-level miss events, OSDP vs HWDP.
 pub fn fig14_user_ipc(scale: &Scale) -> Table {
-    fig14_user_ipc_with(scale, campaigns::default_workers())
-}
-
-/// [`fig14_user_ipc`] with an explicit harness worker count.
-pub fn fig14_user_ipc_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&campaigns::fig14_campaign(scale), workers);
-    let m = |name: &str, mode: Mode| results.metric(name, |s| s.mode == mode);
+    let runs = Runs::collect(&campaigns::fig14_campaign(scale));
+    let (o, h) = (runs.run_of(|s| s.mode == Mode::Osdp), runs.run_of(|s| s.mode == Mode::Hwdp));
     let mut t = Table::new(
         "fig14",
         "YCSB-C (4 threads): OSDP vs HWDP",
         &["metric", "OSDP", "HWDP", "HWDP/OSDP"],
     );
-    let tp = (m("throughput_ops_s", Mode::Osdp), m("throughput_ops_s", Mode::Hwdp));
+    let tp = (o.throughput_ops_s(), h.throughput_ops_s());
     t.row(vec!["throughput (ops/s)".into(), f2(tp.0), f2(tp.1), f2(tp.1 / tp.0)]);
-    let ipc = (m("user_ipc", Mode::Osdp), m("user_ipc", Mode::Hwdp));
+    let ipc = (o.user_ipc(), h.user_ipc());
     t.row(vec!["user IPC".into(), f3(ipc.0), f3(ipc.1), f2(ipc.1 / ipc.0)]);
-    // PerfCounters::user_mpki, reconstructed from the exported counters.
-    let mpki = |mode: Mode| {
-        let kilo = m("user_instructions", mode) / 1000.0;
-        ["l1d_misses", "l2_misses", "llc_misses", "branch_misses"]
-            .map(|k| if kilo == 0.0 { 0.0 } else { m(k, mode) / kilo })
-    };
-    let mo = mpki(Mode::Osdp);
-    let mh = mpki(Mode::Hwdp);
+    let mo = o.perf.user_mpki();
+    let mh = h.perf.user_mpki();
     for (i, name) in ["L1D MPKI", "L2 MPKI", "LLC MPKI", "branch MPKI"].iter().enumerate() {
         t.row(vec![name.to_string(), f2(mo[i]), f2(mh[i]), f2(mh[i] / mo[i])]);
     }
     t.note("paper: user IPC +7.0%, miss events mostly decreased; 99.9% of faults hardware-handled");
-    let handled = m("smu_completed", Mode::Hwdp);
-    let faults =
-        handled + m("major_faults", Mode::Hwdp) + m("minor_faults", Mode::Hwdp);
+    let handled = h.smu.completed as f64;
+    let faults = handled + h.os.major_faults as f64 + h.os.minor_faults as f64;
     t.note(format!("hardware-handled fraction: {}", pct(handled / faults.max(1.0))));
     t
 }
@@ -388,13 +366,9 @@ pub fn fig14_user_ipc_with(scale: &Scale, workers: usize) -> Table {
 /// Fig. 15: kernel-level retired instructions and cycles, OSDP vs HWDP
 /// (HWDP includes `kpted`/`kpoold`).
 pub fn fig15_kernel_cost(scale: &Scale) -> Table {
-    fig15_kernel_cost_with(scale, campaigns::default_workers())
-}
-
-/// [`fig15_kernel_cost`] with an explicit harness worker count.
-pub fn fig15_kernel_cost_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&campaigns::fig15_campaign(scale), workers);
-    let m = |name: &str, mode: Mode| results.metric(name, |s| s.mode == mode);
+    let runs = Runs::collect(&campaigns::fig15_campaign(scale));
+    let kernel = |mode: Mode| &runs.run_of(|s| s.mode == mode).kernel;
+    let (o, h) = (kernel(Mode::Osdp), kernel(Mode::Hwdp));
     let mut t = Table::new(
         "fig15",
         "kernel work for YCSB-C (4 threads): instructions and cycles",
@@ -402,39 +376,30 @@ pub fn fig15_kernel_cost_with(scale: &Scale, workers: usize) -> Table {
     );
     let ipc = 0.9; // inline kernel code IPC
     let speedup = 1.6; // kpted batching
-    for (label, key, row_ipc) in [
-        ("app-thread kernel", "app_kernel_instr", ipc),
-        ("kpted", "kpted_instr", ipc * speedup),
-        ("kpoold", "kpoold_instr", ipc),
+    for (label, o, h, row_ipc) in [
+        ("app-thread kernel", o.app_kernel_instr, h.app_kernel_instr, ipc),
+        ("kpted", o.kpted_instr, h.kpted_instr, ipc * speedup),
+        ("kpoold", o.kpoold_instr, h.kpoold_instr, ipc),
     ] {
-        let (o, h) = (m(key, Mode::Osdp), m(key, Mode::Hwdp));
         t.row(vec![
             label.into(),
-            (o as u64).to_string(),
-            (h as u64).to_string(),
-            ((o / row_ipc) as u64).to_string(),
-            ((h / row_ipc) as u64).to_string(),
+            o.to_string(),
+            h.to_string(),
+            ((o as f64 / row_ipc) as u64).to_string(),
+            ((h as f64 / row_ipc) as u64).to_string(),
         ]);
     }
-    // KernelAccounting::total_instr / total_cycles, from the exported
-    // per-context counters (inline code at `ipc`, kpted batched).
-    let total = |mode: Mode| {
-        let (app, kpted, kpoold) =
-            (m("app_kernel_instr", mode), m("kpted_instr", mode), m("kpoold_instr", mode));
-        let cycles = ((app + kpoold) / ipc + kpted / (ipc * speedup)) as u64;
-        ((app + kpted + kpoold) as u64, cycles)
-    };
-    let ((ti, ci), (th_, ch)) = (total(Mode::Osdp), total(Mode::Hwdp));
+    let (ti, th) = (o.total_instr(), h.total_instr());
     t.row(vec![
         "TOTAL".into(),
         ti.to_string(),
-        th_.to_string(),
-        ci.to_string(),
-        ch.to_string(),
+        th.to_string(),
+        o.total_cycles(ipc, speedup).to_string(),
+        h.total_cycles(ipc, speedup).to_string(),
     ]);
     t.note(format!(
         "instruction reduction: {} (paper: 62.6%)",
-        pct(1.0 - th_ as f64 / ti as f64)
+        pct(1.0 - th as f64 / ti as f64)
     ));
     t
 }
@@ -443,12 +408,7 @@ pub fn fig15_kernel_cost_with(scale: &Scale, workers: usize) -> Table {
 
 /// Fig. 16: FIO co-located with SPEC kernels on one SMT core.
 pub fn fig16_smt(scale: &Scale) -> Table {
-    fig16_smt_with(scale, campaigns::default_workers())
-}
-
-/// [`fig16_smt`] with an explicit harness worker count.
-pub fn fig16_smt_with(scale: &Scale, workers: usize) -> Table {
-    let results = CampaignResults::collect(&campaigns::fig16_campaign(scale), workers);
+    let runs = Runs::collect(&campaigns::fig16_campaign(scale));
     let mut t = Table::new(
         "fig16",
         "SMT co-run (FIO + SPEC on one physical core): HWDP vs OSDP",
@@ -462,21 +422,17 @@ pub fn fig16_smt_with(scale: &Scale, workers: usize) -> Table {
     );
     for partner in SmtPartner::ALL {
         // FIO is workload thread 0; the SPEC kernel rides on context 1.
-        let m = |name: &str, mode: Mode| {
-            results.metric(name, |s| {
-                s.mode == mode && s.scenario == Scenario::SmtCorun(partner)
-            })
+        let threads = |mode: Mode| {
+            &runs.run_of(|s| s.mode == mode && s.scenario == Scenario::SmtCorun(partner)).threads
         };
-        let fio_total = |mode: Mode| {
-            m("thread/0/user_instructions", mode) + m("thread/0/kernel_instructions", mode)
-        };
+        let (o, h) = (threads(Mode::Osdp), threads(Mode::Hwdp));
+        let ratio = |h: u64, o: u64| h as f64 / (o as f64).max(1.0);
         t.row(vec![
             partner.name().into(),
-            f2(m("thread/0/ops", Mode::Hwdp) / m("thread/0/ops", Mode::Osdp).max(1.0)),
-            f2(m("thread/0/user_instructions", Mode::Hwdp)
-                / m("thread/0/user_instructions", Mode::Osdp).max(1.0)),
-            pct(fio_total(Mode::Hwdp) / fio_total(Mode::Osdp).max(1.0) - 1.0),
-            f2(m("thread/1/user_ipc", Mode::Hwdp) / m("thread/1/user_ipc", Mode::Osdp)),
+            f2(ratio(h[0].ops, o[0].ops)),
+            f2(ratio(h[0].perf.user_instructions, o[0].perf.user_instructions)),
+            pct(ratio(h[0].perf.total_instructions(), o[0].perf.total_instructions()) - 1.0),
+            f2(h[1].user_ipc() / o[1].user_ipc()),
         ]);
     }
     t.note("paper: FIO ≥1.72×; FIO total instructions down (≤42.4% fewer); SPEC IPC up under HWDP");
@@ -492,15 +448,10 @@ pub fn fig17_sw_vs_hw() -> Table {
         "single-fault latency: SW-only vs HWDP across devices",
         &["device", "device time", "SW-only", "HWDP", "HWDP vs SW"],
     );
-    let results = CampaignResults::collect(&campaigns::fig17_campaign(), campaigns::default_workers());
-    for kind in [DeviceKind::ZSsd, DeviceKind::OptaneSsd, DeviceKind::OptanePmm] {
+    for kind in DeviceKind::ALL {
         let dev = kind.profile();
-        let total = |mode: Mode| {
-            Duration::from_nanos_f64(
-                results.metric("anatomy_total_ns", |s| s.mode == mode && s.device == kind),
-            )
-        };
-        let (sw, hw) = (total(Mode::SwOnly), total(Mode::Hwdp));
+        let sw = swonly_anatomy(&SwOnlyCosts::paper_default(), &dev).total();
+        let hw = hwdp_anatomy(&SmuTiming::paper_default(), &dev).total();
         t.row(vec![
             dev.name.into(),
             us(dev.read_4k),
@@ -574,9 +525,8 @@ mod tests {
 
     #[test]
     fn fig14_user_ipc_gain_in_band() {
-        let results =
-            CampaignResults::collect(&campaigns::fig14_campaign(&quick()), 2);
-        let ipc = |mode: Mode| results.metric("user_ipc", |s| s.mode == mode);
+        let runs = Runs::collect(&campaigns::fig14_campaign(&quick()));
+        let ipc = |mode: Mode| runs.run_of(|s| s.mode == mode).user_ipc();
         let gain = ipc(Mode::Hwdp) / ipc(Mode::Osdp) - 1.0;
         // Paper: +7.0 % user IPC. Accept a generous band around it at
         // simulation scale, but the gain must be real.
@@ -585,14 +535,8 @@ mod tests {
 
     #[test]
     fn fig15_kernel_instruction_reduction_in_band() {
-        let results =
-            CampaignResults::collect(&campaigns::fig15_campaign(&quick()), 2);
-        let total = |mode: Mode| -> f64 {
-            ["app_kernel_instr", "kpted_instr", "kpoold_instr"]
-                .iter()
-                .map(|k| results.metric(k, |s| s.mode == mode))
-                .sum()
-        };
+        let runs = Runs::collect(&campaigns::fig15_campaign(&quick()));
+        let total = |mode: Mode| runs.run_of(|s| s.mode == mode).kernel.total_instr() as f64;
         let reduction = 1.0 - total(Mode::Hwdp) / total(Mode::Osdp);
         // Paper: 62.6 % fewer kernel instructions under HWDP.
         assert!((0.35..0.90).contains(&reduction), "kernel reduction {reduction}");
@@ -600,7 +544,7 @@ mod tests {
 
     #[test]
     fn fig16_fio_speedup_holds() {
-        let t = fig16_smt_with(&quick(), 2);
+        let t = fig16_smt(&quick());
         // Column 1 is the FIO throughput ratio; every SPEC partner should
         // see a healthy HWDP speedup (paper ≥ 1.72×; accept ≥ 1.3 at
         // simulation scale).

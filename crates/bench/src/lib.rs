@@ -4,13 +4,13 @@
 //! * [`figures`] — Fig. 1–4, Table I/II, Fig. 11–17, and the §VI-D area
 //!   table, each as a function returning a printable [`tables::Table`].
 //! * [`ablations`] — `kpoold`, PMSHR size, free-queue depth, prefetch
-//!   buffer, and `kpted` period sweeps.
-//! * [`scenarios`] — shared scaled workload setups.
-//! * [`campaigns`] — `hwdp-harness` campaign definitions for the figure
-//!   sweeps (Fig. 12/13/17 run on a worker pool).
+//!   buffer, and `kpted` period sweeps, plus the §V extension tables.
+//! * [`scenarios`] — the experiment [`Scale`].
+//! * [`campaigns`] — `hwdp-harness` campaign definitions for the figures
+//!   and [`campaigns::Runs`], their typed results from a worker pool.
 //!
 //! Run everything with `cargo run -p hwdp-bench --bin repro --release`;
-//! Criterion wrappers live in `benches/`.
+//! Criterion microbenchmarks live in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,14 +25,8 @@ use scenarios::Scale;
 use tables::Table;
 
 /// Generates every experiment table at the given scale, in paper order,
-/// running the campaign-backed figures on the default worker pool.
+/// running the campaign-backed tables on the default worker pool.
 pub fn all_tables(scale: &Scale) -> Vec<Table> {
-    all_tables_with(scale, campaigns::default_workers())
-}
-
-/// [`all_tables`] with an explicit harness worker count for the
-/// campaign-backed figures (Fig. 12/13).
-pub fn all_tables_with(scale: &Scale, workers: usize) -> Vec<Table> {
     vec![
         figures::fig01_breakdown(scale),
         figures::fig02_trends(),
@@ -42,8 +36,8 @@ pub fn all_tables_with(scale: &Scale, workers: usize) -> Vec<Table> {
         figures::table2_config(),
         figures::fig11a_split(),
         figures::fig11b_timeline(),
-        figures::fig12_latency_with(scale, workers).0,
-        figures::fig13_throughput_with(scale, workers),
+        figures::fig12_latency(scale).0,
+        figures::fig13_throughput(scale),
         figures::fig14_user_ipc(scale),
         figures::fig15_kernel_cost(scale),
         figures::fig16_smt(scale),

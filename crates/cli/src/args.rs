@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use hwdp_core::Mode;
-use hwdp_nvme::profile::DeviceProfile;
 use hwdp_workloads::YcsbKind;
 
 /// Parsed command line: a subcommand plus `--key value` options and bare
@@ -104,32 +103,13 @@ impl Args {
         }
     }
 
-    /// The `--mode` option (default HWDP).
+    /// An optional numeric option (`None` when absent).
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown modes.
-    pub fn mode(&self) -> Result<Mode, ArgError> {
-        match self.get("mode").unwrap_or("hwdp") {
-            "osdp" => Ok(Mode::Osdp),
-            "hwdp" => Ok(Mode::Hwdp),
-            "sw" | "sw-only" | "swonly" => Ok(Mode::SwOnly),
-            other => Err(ArgError(format!("unknown --mode '{other}' (osdp|hwdp|sw-only)"))),
-        }
-    }
-
-    /// The `--device` option (default Z-SSD).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown devices.
-    pub fn device(&self) -> Result<DeviceProfile, ArgError> {
-        match self.get("device").unwrap_or("zssd") {
-            "zssd" | "z-ssd" => Ok(DeviceProfile::Z_SSD),
-            "optane" | "optane-ssd" => Ok(DeviceProfile::OPTANE_SSD),
-            "pmm" | "optane-pmm" => Ok(DeviceProfile::OPTANE_PMM),
-            other => Err(ArgError(format!("unknown --device '{other}' (zssd|optane|pmm)"))),
-        }
+    /// Returns an error if the value does not parse.
+    pub fn opt_num(&self, name: &str) -> Result<Option<u64>, ArgError> {
+        self.get(name).map(|_| self.num(name, 0)).transpose()
     }
 
     /// The `--kind` option for YCSB (default C).
@@ -150,6 +130,21 @@ impl Args {
     }
 }
 
+/// Parses one demand-paging mode name — the values of `--mode` and of
+/// each `--modes` entry.
+///
+/// # Errors
+///
+/// Returns an error for unknown modes.
+pub fn parse_mode(s: &str) -> Result<Mode, ArgError> {
+    match s {
+        "osdp" => Ok(Mode::Osdp),
+        "hwdp" => Ok(Mode::Hwdp),
+        "sw" | "sw-only" | "swonly" => Ok(Mode::SwOnly),
+        other => Err(ArgError(format!("unknown mode '{other}' (osdp|hwdp|sw-only)"))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +159,18 @@ mod tests {
         assert_eq!(a.command, "fio");
         assert_eq!(a.num("threads", 1).unwrap(), 4);
         assert!(a.flag("seq"));
-        assert_eq!(a.mode().unwrap(), Mode::Osdp);
+        assert_eq!(parse_mode(a.get("mode").unwrap()).unwrap(), Mode::Osdp);
     }
 
     #[test]
     fn defaults_apply() {
         let a = parse("fio").unwrap();
         assert_eq!(a.num("threads", 1).unwrap(), 1);
-        assert_eq!(a.mode().unwrap(), Mode::Hwdp);
-        assert_eq!(a.device().unwrap().name, "Z-SSD SZ985");
         assert!(!a.flag("seq"));
+        let spec = crate::single_run_spec(&a).unwrap();
+        assert_eq!(spec.mode, Mode::Hwdp);
+        assert_eq!(spec.device.profile().name, "Z-SSD SZ985");
+        assert_eq!((spec.threads, spec.ratio, spec.seed), (1, 4.0, 42));
     }
 
     #[test]
@@ -181,8 +178,13 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("fio positional").is_err());
         assert!(parse("fio --threads four").unwrap().num("threads", 1).is_err());
-        assert!(parse("fio --mode turbo").unwrap().mode().is_err());
-        assert!(parse("fio --device floppy").unwrap().device().is_err());
+        assert!(parse("sweep --pmshr lots").unwrap().opt_num("pmshr").is_err());
+        assert_eq!(parse("sweep --pmshr 4").unwrap().opt_num("pmshr").unwrap(), Some(4));
+        assert_eq!(parse("sweep").unwrap().opt_num("pmshr").unwrap(), None);
+        assert!(parse_mode("turbo").is_err());
+        assert!(crate::single_run_spec(&parse("fio --mode turbo").unwrap()).is_err());
+        assert!(crate::single_run_spec(&parse("fio --device floppy").unwrap()).is_err());
+        assert!(crate::single_run_spec(&parse("ycsb --kind z").unwrap()).is_err());
         assert!(parse("ycsb --kind z").unwrap().ycsb_kind().is_err());
     }
 

@@ -6,7 +6,7 @@
 //! hwdp fio  [--mode osdp|hwdp|sw-only] [--threads N] [--ratio R] [--ops N]
 //!           [--device zssd|optane|pmm] [--seq] [--prefetch N] [--readahead N]
 //! hwdp ycsb [--kind a..f] [--mode ...] [--threads N] [--ratio R] [--ops N]
-//! hwdp anon [--mode ...] [--ratio R] [--ops N]
+//! hwdp dbbench|anon [--mode ...] [--threads N] [--ratio R] [--ops N]
 //! hwdp anatomy [--device ...]
 //! hwdp sweep [--name S] [--scenarios a,b] [--modes ...] [--workers N] ...
 //! hwdp chaos [--name S] [--seed N] [--jobs N] [--no-crashes] [--out DIR]
@@ -21,16 +21,11 @@ mod args;
 
 use std::process::ExitCode;
 
-use args::{ArgError, Args};
+use args::{parse_mode, ArgError, Args};
 use hwdp_core::anatomy::{hwdp_anatomy, osdp_anatomy, swonly_anatomy};
-use hwdp_core::{Mode, RunResult, SystemBuilder, SystemConfig};
-use hwdp_harness as harness;
-use hwdp_sim::rng::Prng;
+use hwdp_core::{Mode, RunResult, SystemConfig};
+use hwdp_harness::{self as harness, DeviceKind, JobSpec, Scenario};
 use hwdp_sim::SanitizeLevel;
-use hwdp_sim::time::Duration;
-use hwdp_workloads::{
-    DbBenchReadRandom, FioRandRead, FioSeqRead, MiniDb, ScratchChurn, Workload, Ycsb,
-};
 
 const HELP: &str = "\
 hwdp — hardware-based demand paging simulator (ISCA 2020 reproduction)
@@ -52,11 +47,13 @@ COMMANDS:
   config    print the Table II system configuration
   help      this text
 
-COMMON OPTIONS:
+COMMON OPTIONS (fio, ycsb, dbbench and anon each run one job through the
+same runner as sweep; every option below and under JOB KNOBS applies to
+both):
   --mode osdp|hwdp|sw-only   demand-paging design   (default hwdp)
   --device zssd|optane|pmm   storage device         (default zssd)
   --threads N                client threads         (default 1)
-  --ratio N                  dataset:memory ratio   (default 4)
+  --ratio R                  dataset:memory ratio   (default 4)
   --ops N                    operations per thread  (default 2000)
   --memory N                 DRAM frames            (default 1024)
   --seed N                   RNG seed               (default 42)
@@ -92,22 +89,13 @@ COMMON OPTIONS:
                              (omitting --tiers runs the paper's single device)
 
 FIO OPTIONS:
-  --seq                      sequential instead of random reads
-  --prefetch N               SMU prefetch window (HWDP, section V)
-  --readahead N              OS readahead window (disabled in the paper)
+  --seq                      sequential instead of random reads (the
+                             fio-seq scenario)
 
-SWEEP OPTIONS (axes are comma-separated lists; cross product = campaign):
-  --name S                   campaign name          (default sweep)
-  --scenarios a,b            fio|dbbench|ycsb-a..f|anon|smt-<spec>|anatomy
-                             (default fio; smt-<spec> is the Fig. 16 SMT
-                             co-run, <spec> one of perlbench|gcc|mcf|lbm|
-                             deepsjeng|xz)
-  --modes a,b                osdp|hwdp|sw-only      (default osdp,hwdp)
-  --devices a,b              zssd|optane|pmm        (default zssd)
-  --threads-list a,b         client thread counts   (default 1)
-  --ratios a,b               dataset:memory ratios  (default 2)
-  --workers N                executor threads       (default 4)
-  --out DIR                  artifact directory     (default .)
+YCSB OPTIONS:
+  --kind a..f                YCSB core workload     (default c)
+
+JOB KNOBS (single runs and sweep):
   --time-cap-ms MS           virtual-time cap per job (default 30000)
   --pin N                    pin workload thread i to hardware context N+i
                              (a co-run partner lands after the workload)
@@ -120,8 +108,23 @@ SWEEP OPTIONS (axes are comma-separated lists; cross product = campaign):
   --per-core-queues          per-core free-page queues instead of shared
   --long-io-us US            long-latency miss timeout in microseconds
                              (default: always stall, never context-switch)
-  --readahead N              OS readahead window in pages (default 0)
-  --prefetch N               SMU prefetch window in pages (default 0)
+  --readahead N              OS readahead window in pages (default 0;
+                             disabled in the paper)
+  --prefetch N               SMU prefetch window in pages (default 0;
+                             HWDP, section V)
+
+SWEEP OPTIONS (axes are comma-separated lists; cross product = campaign):
+  --name S                   campaign name          (default sweep)
+  --scenarios a,b            fio|fio-seq|dbbench|ycsb-a..f|anon|smt-<spec>|
+                             anatomy (default fio; smt-<spec> is the Fig. 16
+                             SMT co-run, <spec> one of perlbench|gcc|mcf|lbm|
+                             deepsjeng|xz)
+  --modes a,b                osdp|hwdp|sw-only      (default osdp,hwdp)
+  --devices a,b              zssd|optane|pmm        (default zssd)
+  --threads-list a,b         client thread counts   (default 1)
+  --ratios a,b               dataset:memory ratios  (default 2)
+  --workers N                executor threads       (default 4)
+  --out DIR                  artifact directory     (default .)
   --repeats K                run each job K times with derived per-repeat
                              seeds; metrics become mean + /stddev + /ci95
                              keys, and compare gates on CI overlap
@@ -189,9 +192,7 @@ fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
         "help" | "--help" | "-h" => println!("{HELP}"),
         "config" => println!("{}", SystemConfig::paper_default(Mode::Hwdp).describe()),
         "anatomy" => anatomy(&args)?,
-        "fio" => fio(&args)?,
-        "ycsb" | "dbbench" => kv(&args)?,
-        "anon" => anon(&args)?,
+        "fio" | "ycsb" | "dbbench" | "anon" => single_run(&args)?,
         "sweep" => return sweep(&args),
         "chaos" => return chaos_cmd(&args),
         "compare" => return compare_cmd(&args),
@@ -232,44 +233,100 @@ fn tier_spec(args: &Args) -> Result<Option<harness::TierSpec>, ArgError> {
     }
 }
 
+/// The knobs every job shares, parsed once for `sweep` and the single-run
+/// commands: sizing, the virtual-time cap, pinning, the ablation knobs,
+/// repeats, and the fault and tier plans. The caller sets the axes
+/// (scenario, mode, device, threads, ratio) and the seed.
+fn job_template(args: &Args) -> Result<JobSpec, ArgError> {
+    let mut job = JobSpec::new(Scenario::FioRand, Mode::Hwdp, 0);
+    job.memory_frames = args.num("memory", 1024)? as usize;
+    job.ops = args.num("ops", 2000)?;
+    job.sanitize = sanitize_level(args)?;
+    job.time_cap_ms = args.num("time-cap-ms", job.time_cap_ms)?;
+    job.pin = args.opt_num("pin")?.map(|n| n as usize);
+    job.kpted_period_us = args.num("kpted-us", job.kpted_period_us)?;
+    // Ablation knobs (Fig. 18-style sensitivity sweeps). Each maps onto one
+    // JobSpec field; unset flags leave the paper defaults in place.
+    job.pmshr_entries = args.opt_num("pmshr")?.map(|n| n as usize);
+    job.free_queue_depth = args.opt_num("free-queue")?.map(|n| n as usize);
+    job.kpoold_enabled = !args.flag("no-kpoold");
+    job.kpoold_period_us = args.opt_num("kpoold-us")?;
+    job.per_core_free_queues = args.flag("per-core-queues");
+    job.long_io_timeout_us = args.opt_num("long-io-us")?;
+    job.readahead_pages = args.num("readahead", 0)? as usize;
+    job.smu_prefetch_pages = args.num("prefetch", 0)? as usize;
+    job.repeats = args.num("repeats", 1)? as u32;
+    job.faults = fault_config(args)?;
+    job.tiers = tier_spec(args)?;
+    Ok(job)
+}
+
+/// Parses `--device` (default Z-SSD).
+fn device(args: &Args) -> Result<DeviceKind, ArgError> {
+    DeviceKind::parse(args.get("device").unwrap_or("zssd"))
+        .map_err(|e| ArgError(format!("--device: {e}")))
+}
+
+/// The job a single-run command runs: the shared [`job_template`] knobs
+/// at one point of each sweep axis, seeded with `--seed` itself (what
+/// `sweep --fixed-seed` gives its jobs).
+fn single_run_spec(args: &Args) -> Result<JobSpec, ArgError> {
+    let mut spec = job_template(args)?;
+    spec.scenario = match args.command.as_str() {
+        "fio" if args.flag("seq") => Scenario::FioSeq,
+        "fio" => Scenario::FioRand,
+        "ycsb" => Scenario::Ycsb(args.ycsb_kind()?),
+        "dbbench" => Scenario::DbBench,
+        "anon" => Scenario::Anon,
+        other => return Err(ArgError(format!("'{other}' is not a single-run command"))),
+    };
+    spec.mode = parse_mode(args.get("mode").unwrap_or("hwdp"))
+        .map_err(|e| ArgError(format!("--mode: {e}")))?;
+    spec.device = device(args)?;
+    spec.threads = args.num("threads", 1)? as usize;
+    spec.ratio = args.float("ratio", 4.0)?;
+    spec.seed = args.num("seed", 42)?;
+    Ok(spec)
+}
+
+/// `hwdp fio|ycsb|dbbench|anon`: one job through the harness runner.
+fn single_run(args: &Args) -> Result<(), ArgError> {
+    let spec = single_run_spec(args)?;
+    if spec.effective_repeats() > 1 {
+        return Err(ArgError("--repeats applies to sweep; a single run runs once".into()));
+    }
+    let r = harness::runner::simulate(&spec);
+    let label = format!(
+        "{} / {} / {} threads / dataset {}x memory",
+        spec.scenario.name(),
+        spec.mode.label(),
+        spec.threads,
+        spec.ratio
+    );
+    // FIO reads only touch pages; they never check the bytes.
+    let verifies = !matches!(spec.scenario, Scenario::FioRand | Scenario::FioSeq);
+    report(&label, &r, verifies);
+    Ok(())
+}
+
 /// Expands the `sweep` axis options into a harness campaign.
 fn sweep_campaign(args: &Args) -> Result<harness::Campaign, ArgError> {
-    let parse_axis = |name: &str, default: &str, f: &dyn Fn(&str) -> Option<String>| {
-        let mut bad = Vec::new();
-        let ok: Vec<String> = args
-            .list(name, default)
-            .iter()
-            .filter_map(|s| f(s).or_else(|| {
-                bad.push(s.clone());
-                None
-            }))
-            .collect();
-        if bad.is_empty() {
-            Ok(ok)
-        } else {
-            Err(ArgError(format!("--{name}: unknown value(s) {bad:?}")))
-        }
-    };
-    let scenarios: Vec<harness::Scenario> = parse_axis("scenarios", "fio", &|s| {
-        harness::Scenario::parse(s).map(|_| s.to_string())
-    })?
-    .iter()
-    .map(|s| harness::Scenario::parse(s).expect("validated"))
-    .collect();
+    let scenarios: Vec<Scenario> = args
+        .list("scenarios", "fio")
+        .iter()
+        .map(|s| {
+            Scenario::parse(s).ok_or_else(|| ArgError(format!("--scenarios: unknown value '{s}'")))
+        })
+        .collect::<Result<_, _>>()?;
     let modes: Vec<Mode> = args
         .list("modes", "osdp,hwdp")
         .iter()
-        .map(|m| match m.as_str() {
-            "osdp" => Ok(Mode::Osdp),
-            "hwdp" => Ok(Mode::Hwdp),
-            "sw" | "sw-only" | "swonly" => Ok(Mode::SwOnly),
-            other => Err(ArgError(format!("--modes: unknown mode '{other}'"))),
-        })
+        .map(|m| parse_mode(m).map_err(|e| ArgError(format!("--modes: {e}"))))
         .collect::<Result<_, _>>()?;
-    let devices: Vec<harness::DeviceKind> = args
+    let devices: Vec<DeviceKind> = args
         .list("devices", "zssd")
         .iter()
-        .map(|d| harness::DeviceKind::parse(d).map_err(|e| ArgError(format!("--devices: {e}"))))
+        .map(|d| DeviceKind::parse(d).map_err(|e| ArgError(format!("--devices: {e}"))))
         .collect::<Result<_, _>>()?;
     let threads: Vec<usize> = args
         .list("threads-list", "1")
@@ -282,75 +339,14 @@ fn sweep_campaign(args: &Args) -> Result<harness::Campaign, ArgError> {
         .map(|r| r.parse().map_err(|_| ArgError(format!("--ratios: bad ratio '{r}'"))))
         .collect::<Result<_, _>>()?;
 
-    let mut grid = harness::Grid::new(
-        args.get("name").unwrap_or("sweep"),
-        args.num("seed", 42)?,
-    )
-    .scenarios(scenarios)
-    .modes(modes)
-    .devices(devices)
-    .threads(threads)
-    .ratios(ratios)
-    .memory_frames(args.num("memory", 1024)? as usize)
-    .ops(args.num("ops", 2000)?)
-    .sanitize(sanitize_level(args)?);
-    if let Some(ms) = args.get("time-cap-ms") {
-        let ms = ms.parse().map_err(|_| ArgError(format!("--time-cap-ms: bad value '{ms}'")))?;
-        grid = grid.time_cap_ms(ms);
-    }
-    if let Some(pin) = args.get("pin") {
-        let pin = pin.parse().map_err(|_| ArgError(format!("--pin: bad context '{pin}'")))?;
-        grid = grid.pin(pin);
-    }
-    if let Some(us) = args.get("kpted-us") {
-        let us: u64 =
-            us.parse().map_err(|_| ArgError(format!("--kpted-us: bad period '{us}'")))?;
-        grid = grid.tweak(|j| j.kpted_period_us = us);
-    }
-    // Ablation knobs (Fig. 18-style sensitivity sweeps). Each maps onto one
-    // JobSpec field; unset flags leave the paper defaults in place.
-    if let Some(n) = args.get("pmshr") {
-        let n: usize = n.parse().map_err(|_| ArgError(format!("--pmshr: bad entry count '{n}'")))?;
-        grid = grid.tweak(|j| j.pmshr_entries = Some(n));
-    }
-    if let Some(n) = args.get("free-queue") {
-        let n: usize = n.parse().map_err(|_| ArgError(format!("--free-queue: bad depth '{n}'")))?;
-        grid = grid.tweak(|j| j.free_queue_depth = Some(n));
-    }
-    if args.flag("no-kpoold") {
-        grid = grid.tweak(|j| j.kpoold_enabled = false);
-    }
-    if let Some(us) = args.get("kpoold-us") {
-        let us: u64 =
-            us.parse().map_err(|_| ArgError(format!("--kpoold-us: bad period '{us}'")))?;
-        grid = grid.tweak(|j| j.kpoold_period_us = Some(us));
-    }
-    if args.flag("per-core-queues") {
-        grid = grid.tweak(|j| j.per_core_free_queues = true);
-    }
-    if let Some(us) = args.get("long-io-us") {
-        let us: u64 =
-            us.parse().map_err(|_| ArgError(format!("--long-io-us: bad timeout '{us}'")))?;
-        grid = grid.tweak(|j| j.long_io_timeout_us = Some(us));
-    }
-    if let Some(n) = args.get("readahead") {
-        let n: usize = n.parse().map_err(|_| ArgError(format!("--readahead: bad window '{n}'")))?;
-        grid = grid.tweak(|j| j.readahead_pages = n);
-    }
-    if let Some(n) = args.get("prefetch") {
-        let n: usize = n.parse().map_err(|_| ArgError(format!("--prefetch: bad window '{n}'")))?;
-        grid = grid.tweak(|j| j.smu_prefetch_pages = n);
-    }
-    let repeats = args.num("repeats", 1)?;
-    if repeats > 1 {
-        grid = grid.repeats(repeats as u32);
-    }
-    if let Some(faults) = fault_config(args)? {
-        grid = grid.faults(faults);
-    }
-    if let Some(tiers) = tier_spec(args)? {
-        grid = grid.tiers(tiers);
-    }
+    let template = job_template(args)?;
+    let mut grid = harness::Grid::new(args.get("name").unwrap_or("sweep"), args.num("seed", 42)?)
+        .scenarios(scenarios)
+        .modes(modes)
+        .devices(devices)
+        .threads(threads)
+        .ratios(ratios)
+        .tweak(|j| *j = template);
     if args.flag("fixed-seed") {
         grid = grid.fixed_seed();
     }
@@ -384,10 +380,7 @@ fn sweep(args: &Args) -> Result<ExitCode, ArgError> {
     };
     // --job-timeout-ms arms the per-job wall-clock watchdog: a hung job
     // becomes a typed failure instead of wedging the whole campaign.
-    let timeout_ms = match args.get("job-timeout-ms") {
-        None => None,
-        Some(_) => Some(args.num("job-timeout-ms", 0)?),
-    };
+    let timeout_ms = args.opt_num("job-timeout-ms")?;
     let mut progress = harness::progress::Stderr::new(campaign.jobs.len());
     let artifact = harness::execute_campaign_resume(
         &campaign,
@@ -620,26 +613,6 @@ fn lint_cmd(args: &Args) -> Result<ExitCode, ArgError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn builder(args: &Args) -> Result<(SystemBuilder, usize, u64, u64), ArgError> {
-    let memory = args.num("memory", 1024)? as usize;
-    let threads = args.num("threads", 1)? as usize;
-    let ratio = args.num("ratio", 4)?;
-    let ops = args.num("ops", 2000)?;
-    let mut b = SystemBuilder::new(args.mode()?)
-        .memory_frames(memory)
-        .device(args.device()?)
-        .kpted_period(Duration::from_millis(1))
-        .sanitize(sanitize_level(args)?)
-        .seed(args.num("seed", 42)?);
-    if let Some(faults) = fault_config(args)? {
-        b = b.faults(faults);
-    }
-    if let Some(tiers) = tier_spec(args)? {
-        b = b.tiers(tiers.to_config());
-    }
-    Ok((b, threads, ratio, ops))
-}
-
 /// Prints a run summary. `verifies` says whether the workload checks the
 /// bytes it reads; only then can the summary claim data integrity.
 fn report(label: &str, r: &RunResult, verifies: bool) {
@@ -730,97 +703,8 @@ fn report(label: &str, r: &RunResult, verifies: bool) {
     }
 }
 
-fn fio(args: &Args) -> Result<(), ArgError> {
-    let (mut b, threads, ratio, ops) = builder(args)?;
-    b = b
-        .smu_prefetch_pages(args.num("prefetch", 0)? as usize)
-        .readahead_pages(args.num("readahead", 0)? as usize);
-    let mut sys = b.build();
-    let pages = (sys.config().memory_frames as u64) * ratio;
-    let file = sys.create_pattern_file("fio-data", pages);
-    let region = sys.map_file(file);
-    for i in 0..threads {
-        let w: Box<dyn Workload> = if args.flag("seq") {
-            Box::new(FioSeqRead::new(region, pages, ops))
-        } else {
-            Box::new(FioRandRead::new(region, pages, ops, Prng::seed_from(1000 + i as u64)))
-        };
-        sys.spawn(w, 1.8, None);
-    }
-    let r = sys.run(Duration::from_secs(120));
-    report(
-        &format!(
-            "fio {} / {} / {} threads / dataset {ratio}x memory",
-            if args.flag("seq") { "seqread" } else { "randread" },
-            sys.config().mode.label(),
-            threads
-        ),
-        &r,
-        false,
-    );
-    Ok(())
-}
-
-fn kv(args: &Args) -> Result<(), ArgError> {
-    let (b, threads, ratio, ops) = builder(args)?;
-    let mut sys = b.build();
-    let records = (sys.config().memory_frames as u64) * ratio;
-    let capacity = records + records / 4;
-    let file = sys.create_kv_file("db", records, capacity);
-    let region = sys.map_file(file);
-    let label;
-    for i in 0..threads {
-        let db = MiniDb::new(region, records, capacity);
-        let rng = Prng::seed_from(2000 + i as u64);
-        let w: Box<dyn Workload> = if args.command == "dbbench" {
-            Box::new(DbBenchReadRandom::new(db, ops, rng))
-        } else {
-            Box::new(Ycsb::new(args.ycsb_kind()?, db, ops, rng))
-        };
-        sys.spawn(w, 1.6, None);
-    }
-    label = format!(
-        "{} / {} / {} threads / dataset {ratio}x memory",
-        if args.command == "dbbench" {
-            "dbbench readrandom".to_string()
-        } else {
-            format!("ycsb-{}", args.get("kind").unwrap_or("c"))
-        },
-        sys.config().mode.label(),
-        threads
-    );
-    let r = sys.run(Duration::from_secs(120));
-    report(&label, &r, true);
-    Ok(())
-}
-
-fn anon(args: &Args) -> Result<(), ArgError> {
-    let (b, threads, ratio, ops) = builder(args)?;
-    let mut sys = b.build();
-    let pages = (sys.config().memory_frames as u64) * ratio;
-    let region = sys.map_anon(pages);
-    for i in 0..threads {
-        sys.spawn(
-            Box::new(ScratchChurn::new(region, pages, ops, Prng::seed_from(3000 + i as u64))),
-            1.6,
-            None,
-        );
-    }
-    let r = sys.run(Duration::from_secs(120));
-    report(
-        &format!(
-            "anonymous churn / {} / {} threads / region {ratio}x memory",
-            sys.config().mode.label(),
-            threads
-        ),
-        &r,
-        true,
-    );
-    Ok(())
-}
-
 fn anatomy(args: &Args) -> Result<(), ArgError> {
-    let dev = args.device()?;
+    let dev = device(args)?.profile();
     println!("single page-miss anatomy on {} (4 KiB read: {}):\n", dev.name, dev.read_4k);
     for a in [
         osdp_anatomy(&hwdp_os::costs::OsdpCosts::paper_default(), &dev),
@@ -834,4 +718,71 @@ fn anatomy(args: &Args) -> Result<(), ArgError> {
         println!();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn single_runs_build_the_job_sweep_builds_from_the_same_flags() {
+        let knobs = "--memory 256 --ops 100 --seed 7 --pmshr 4 --kpted-us 500 --readahead 2 \
+                     --faults media=0.1 --tiers fast:pmm,slow:zssd --time-cap-ms 900";
+        for (single, axes) in [
+            (
+                "fio --mode osdp --threads 2 --ratio 8",
+                "--scenarios fio --modes osdp --threads-list 2 --ratios 8",
+            ),
+            ("fio --seq", "--scenarios fio-seq --modes hwdp --ratios 4"),
+            (
+                "ycsb --kind a --device pmm",
+                "--scenarios ycsb-a --modes hwdp --devices pmm --ratios 4",
+            ),
+            ("dbbench --mode sw-only", "--scenarios dbbench --modes sw-only --ratios 4"),
+            (
+                "anon --ratio 2.5 --no-kpoold",
+                "--scenarios anon --modes hwdp --ratios 2.5 --no-kpoold",
+            ),
+        ] {
+            let spec = single_run_spec(&args(&format!("{single} {knobs}"))).unwrap();
+            let campaign =
+                sweep_campaign(&args(&format!("sweep {axes} {knobs} --fixed-seed"))).unwrap();
+            assert_eq!(campaign.jobs, vec![spec], "{single}");
+        }
+    }
+
+    #[test]
+    fn seed_changes_the_workload_access_stream() {
+        let elapsed = |seed: u64| {
+            let a = args(&format!("fio --memory 64 --ops 80 --seed {seed}"));
+            harness::runner::simulate(&single_run_spec(&a).unwrap()).elapsed
+        };
+        assert_ne!(elapsed(1), elapsed(2), "--seed must reach the workload's RNG");
+        assert_eq!(elapsed(1), elapsed(1), "and the run stays deterministic");
+    }
+
+    #[test]
+    fn bad_axis_values_error() {
+        for bad in [
+            "fio --mode turbo",
+            "fio --device floppy",
+            "ycsb --kind z",
+            "fio --ratio lots",
+        ] {
+            assert!(single_run_spec(&args(bad)).is_err(), "{bad}");
+        }
+        for bad in [
+            "sweep --modes osdp,turbo",
+            "sweep --devices zssd,floppy",
+            "sweep --scenarios fio,nope",
+            "sweep --threads-list one",
+            "sweep --ratios x",
+        ] {
+            assert!(sweep_campaign(&args(bad)).is_err(), "{bad}");
+        }
+    }
 }

@@ -17,11 +17,13 @@ use crate::progress::Progress;
 use crate::runner::run_job;
 use crate::spec::{Campaign, JobSpec};
 
-/// What one job produced.
+/// What one job produced: by default its flattened metrics, or whatever
+/// the job function returns (the figure tables collect typed
+/// `RunResult`s).
 #[derive(Clone, Debug, PartialEq)]
-pub enum JobOutcome {
-    /// Metrics from a completed run.
-    Ok(Vec<(String, f64)>),
+pub enum JobOutcome<T = Vec<(String, f64)>> {
+    /// The value of a completed job.
+    Ok(T),
     /// The job panicked; the payload is the panic message.
     Panicked(String),
     /// The job exceeded the per-job wall-clock watchdog; the payload is
@@ -153,46 +155,16 @@ fn outcome_status(outcome: JobOutcome) -> (JobStatus, Vec<(String, f64)>) {
 }
 
 /// [`execute`] with a custom job function — the panic-isolation and
-/// ordering machinery under test-controlled workloads.
-pub fn execute_with(
+/// ordering machinery under any job type: the harness runs
+/// [`run_job`](crate::runner::run_job) for metric artifacts, the figure
+/// tables run [`simulate`](crate::runner::simulate) for typed results.
+pub fn execute_with<T: Send>(
     campaign: &Campaign,
     workers: usize,
     progress: &mut dyn Progress,
-    job_fn: impl Fn(&JobSpec) -> Vec<(String, f64)> + Sync,
-) -> Vec<(JobOutcome, f64)> {
-    let jobs = &campaign.jobs;
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(JobOutcome, f64)>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-    let shared = Mutex::new((slots, progress));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = jobs.get(index) else { break };
-                // A poisoned lock means a progress callback panicked in
-                // another worker; the slots themselves are still sound,
-                // so recover and keep draining the queue.
-                shared.lock().unwrap_or_else(|p| p.into_inner()).1.job_started(index, spec);
-                let start = Instant::now();
-                let outcome = match catch_unwind(AssertUnwindSafe(|| job_fn(spec))) {
-                    Ok(metrics) => JobOutcome::Ok(metrics),
-                    Err(payload) => JobOutcome::Panicked(panic_message(&payload)),
-                };
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let ok = matches!(outcome, JobOutcome::Ok(_));
-                let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
-                guard.0[index] = Some((outcome, wall_ms));
-                guard.1.job_finished(index, spec, ok, wall_ms);
-            });
-        }
-    });
-
-    let (slots, _) = shared.into_inner().unwrap_or_else(|p| p.into_inner());
-    // hwdp-lint: allow(panic-expect): the atomic counter hands every index to exactly one worker
-    slots.into_iter().map(|s| s.expect("every job index was claimed")).collect()
+    job_fn: impl Fn(&JobSpec) -> T + Sync,
+) -> Vec<(JobOutcome<T>, f64)> {
+    pool(campaign, workers, progress, |spec| isolated(|| job_fn(spec)))
 }
 
 /// [`execute_with`] plus a per-job wall-clock watchdog: every job runs on
@@ -206,17 +178,29 @@ pub fn execute_with(
 /// byte-stable artifact pipeline. `job_fn` must be `Copy + 'static`
 /// (a fn pointer or capture-free closure) because it crosses into
 /// detached threads.
-pub fn execute_watchdog_with(
+pub fn execute_watchdog_with<T: Send + 'static>(
     campaign: &Campaign,
     workers: usize,
     timeout_ms: u64,
     progress: &mut dyn Progress,
-    job_fn: impl Fn(&JobSpec) -> Vec<(String, f64)> + Copy + Send + Sync + 'static,
-) -> Vec<(JobOutcome, f64)> {
+    job_fn: impl Fn(&JobSpec) -> T + Copy + Send + Sync + 'static,
+) -> Vec<(JobOutcome<T>, f64)> {
+    pool(campaign, workers, progress, |spec| run_with_watchdog(timeout_ms, *spec, job_fn))
+}
+
+/// The worker pool behind both entry points: `workers` scoped threads
+/// drain a shared queue of job indices, `run` executes one job, and its
+/// outcome lands in the slot of its index.
+fn pool<T: Send>(
+    campaign: &Campaign,
+    workers: usize,
+    progress: &mut dyn Progress,
+    run: impl Fn(&JobSpec) -> JobOutcome<T> + Sync,
+) -> Vec<(JobOutcome<T>, f64)> {
     let jobs = &campaign.jobs;
     let workers = workers.max(1).min(jobs.len().max(1));
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(JobOutcome, f64)>> = Vec::new();
+    let mut slots: Vec<Option<(JobOutcome<T>, f64)>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
     let shared = Mutex::new((slots, progress));
 
@@ -225,9 +209,12 @@ pub fn execute_watchdog_with(
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = jobs.get(index) else { break };
+                // A poisoned lock means a progress callback panicked in
+                // another worker; the slots themselves are still sound,
+                // so recover and keep draining the queue.
                 shared.lock().unwrap_or_else(|p| p.into_inner()).1.job_started(index, spec);
                 let start = Instant::now();
-                let outcome = run_with_watchdog(timeout_ms, *spec, job_fn);
+                let outcome = run(spec);
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 let ok = matches!(outcome, JobOutcome::Ok(_));
                 let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
@@ -242,20 +229,25 @@ pub fn execute_watchdog_with(
     slots.into_iter().map(|s| s.expect("every job index was claimed")).collect()
 }
 
+/// Runs `job` under `catch_unwind`, turning a panic into
+/// [`JobOutcome::Panicked`].
+fn isolated<T>(job: impl FnOnce() -> T) -> JobOutcome<T> {
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Ok(value) => JobOutcome::Ok(value),
+        Err(payload) => JobOutcome::Panicked(panic_message(&payload)),
+    }
+}
+
 /// Runs one job on a detached thread, bounded by `timeout_ms` of wall
 /// clock. Panic isolation matches the in-worker path.
-pub fn run_with_watchdog(
+pub fn run_with_watchdog<T: Send + 'static>(
     timeout_ms: u64,
     spec: JobSpec,
-    job_fn: impl FnOnce(&JobSpec) -> Vec<(String, f64)> + Send + 'static,
-) -> JobOutcome {
+    job_fn: impl FnOnce(&JobSpec) -> T + Send + 'static,
+) -> JobOutcome<T> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let outcome = match catch_unwind(AssertUnwindSafe(|| job_fn(&spec))) {
-            Ok(metrics) => JobOutcome::Ok(metrics),
-            Err(payload) => JobOutcome::Panicked(panic_message(&payload)),
-        };
-        let _ = tx.send(outcome);
+        let _ = tx.send(isolated(|| job_fn(&spec)));
     });
     match rx.recv_timeout(std::time::Duration::from_millis(timeout_ms)) {
         Ok(outcome) => outcome,
@@ -423,10 +415,6 @@ mod tests {
         }
     }
 
-    fn spec_metric_static(spec: &JobSpec) -> Vec<(String, f64)> {
-        vec![("ratio".into(), spec.ratio), ("seed_low".into(), (spec.seed & 0xFFFF) as f64)]
-    }
-
     #[test]
     fn watchdog_turns_hung_job_into_typed_error() {
         let campaign = fake_campaign(3);
@@ -437,7 +425,7 @@ mod tests {
                 // is abandoned and dies with the test process.
                 std::thread::sleep(std::time::Duration::from_millis(10_000));
             }
-            spec_metric_static(spec)
+            spec_metric(spec)
         });
         assert!(matches!(results[0].0, JobOutcome::Ok(_)));
         assert!(matches!(results[2].0, JobOutcome::Ok(_)));
@@ -456,13 +444,13 @@ mod tests {
     #[test]
     fn watchdog_leaves_fast_jobs_and_panics_untouched() {
         let campaign = fake_campaign(5);
-        let plain = execute_with(&campaign, 2, &mut Counting::default(), spec_metric_static);
+        let plain = execute_with(&campaign, 2, &mut Counting::default(), spec_metric);
         let watched = execute_watchdog_with(
             &campaign,
             2,
             60_000,
             &mut Counting::default(),
-            spec_metric_static,
+            spec_metric,
         );
         let outcomes =
             |r: &[(JobOutcome, f64)]| r.iter().map(|(o, _)| o.clone()).collect::<Vec<_>>();
@@ -472,7 +460,7 @@ mod tests {
         let results =
             execute_watchdog_with(&campaign, 2, 60_000, &mut Counting::default(), |spec| {
                 assert!(spec.ratio != 4.0, "boom at ratio 4");
-                spec_metric_static(spec)
+                spec_metric(spec)
             });
         let JobOutcome::Panicked(msg) = &results[2].0 else {
             panic!("panicking job not isolated: {:?}", results[2].0)

@@ -1,9 +1,11 @@
 //! Maps a [`JobSpec`] onto a concrete simulator run.
 //!
-//! Workload setup mirrors `hwdp-bench`'s scenario scaffolding exactly
-//! (thread-RNG derivation, IPC settings, KV capacity headroom), so a
-//! harness job with `fixed_seed` campaign seeding reproduces the historic
-//! figure numbers bit for bit.
+//! [`simulate`] is the one place a spec becomes a system plus workloads:
+//! `hwdp sweep`, the CLI's single-run commands, chaos and the `repro`
+//! figure tables all run through it. The per-thread RNG salts, IPC
+//! settings and KV capacity headroom below fix the numbers the paper
+//! tables in EXPERIMENTS.md record, so changing any of them changes
+//! those tables.
 
 use crate::seed::repeat_seed;
 use crate::spec::{JobSpec, Scenario};
@@ -15,7 +17,7 @@ use hwdp_sim::rng::Prng;
 use hwdp_sim::time::Duration;
 use hwdp_smu::SmuTiming;
 use hwdp_workloads::{
-    DbBenchReadRandom, FioRandRead, MiniDb, ScratchChurn, SpecKernel, Workload, Ycsb,
+    DbBenchReadRandom, FioRandRead, FioSeqRead, MiniDb, ScratchChurn, SpecKernel, Workload, Ycsb,
 };
 
 /// Runs one job to completion and returns its flattened metrics.
@@ -201,16 +203,17 @@ fn build_and_run(spec: &JobSpec) -> (RunResult, System) {
     let pin_for = |i: usize| spec.pin.map(|base| HwId(base + i));
 
     match spec.scenario {
-        Scenario::FioRand => {
+        Scenario::FioRand | Scenario::FioSeq => {
             let file = sys.create_pattern_file("fio-data", pages);
             let region = sys.map_file(file);
             for i in 0..spec.threads {
-                let rng = Prng::seed_from(spec.seed ^ (0xF10 + i as u64));
-                sys.spawn(
-                    Box::new(FioRandRead::new(region, pages, spec.ops, rng)),
-                    1.8,
-                    pin_for(i),
-                );
+                let workload: Box<dyn Workload> = if spec.scenario == Scenario::FioSeq {
+                    Box::new(FioSeqRead::new(region, pages, spec.ops))
+                } else {
+                    let rng = Prng::seed_from(spec.seed ^ (0xF10 + i as u64));
+                    Box::new(FioRandRead::new(region, pages, spec.ops, rng))
+                };
+                sys.spawn(workload, 1.8, pin_for(i));
             }
         }
         Scenario::DbBench | Scenario::Ycsb(_) => {
@@ -241,9 +244,8 @@ fn build_and_run(spec: &JobSpec) -> (RunResult, System) {
             }
         }
         Scenario::SmtCorun(partner) => {
-            // Mirrors hwdp-bench's run_smt_corun: FIO threads first (the
-            // bespoke loop's rng seed is `seed ^ 0x516`, i.e. thread 0
-            // here), then one SPEC kernel on the next hardware context.
+            // FIO threads first (thread i draws from `seed ^ (0x516 + i)`),
+            // then one SPEC kernel on the next hardware context.
             let file = sys.create_pattern_file("fio-data", pages);
             let region = sys.map_file(file);
             for i in 0..spec.threads {
@@ -313,6 +315,28 @@ mod tests {
             m.iter().find(|(k, _)| k == "miss_lat_mean_ns").unwrap().1
         };
         assert!(lat(&hw) < lat(&os), "HWDP should cut miss latency");
+    }
+
+    #[test]
+    fn every_kv_scenario_runs_its_ops_verified() {
+        let mut kv = vec![Scenario::DbBench];
+        kv.extend(hwdp_workloads::YcsbKind::ALL.map(Scenario::Ycsb));
+        for scenario in kv {
+            let mut spec = quick(scenario, Mode::Hwdp);
+            spec.ops = 150;
+            let r = simulate(&spec);
+            assert_eq!(r.ops, 150, "{}", scenario.name());
+            assert_eq!(r.verify_failures(), 0, "{}", scenario.name());
+        }
+    }
+
+    #[test]
+    fn fio_seq_job_completes_its_ops() {
+        let mut spec = quick(Scenario::FioSeq, Mode::Hwdp);
+        spec.threads = 2;
+        let r = simulate(&spec);
+        assert_eq!(r.ops, 2 * 60);
+        assert_eq!(r.verify_failures(), 0);
     }
 
     #[test]

@@ -73,6 +73,9 @@ impl SmtPartner {
 pub enum Scenario {
     /// FIO 4 KiB random read over an mmapped file (§VI-B).
     FioRand,
+    /// FIO 4 KiB sequential read over an mmapped file (the prefetching
+    /// trade-off of §V / §VI-A).
+    FioSeq,
     /// DBBench `readrandom` over MiniDB (§VI-C).
     DbBench,
     /// A YCSB core workload over MiniDB (§VI-C).
@@ -91,6 +94,7 @@ impl Scenario {
     pub fn name(self) -> &'static str {
         match self {
             Scenario::FioRand => "fio",
+            Scenario::FioSeq => "fio-seq",
             Scenario::DbBench => "dbbench",
             Scenario::Ycsb(k) => k.name(),
             Scenario::Anon => "anon",
@@ -110,6 +114,7 @@ impl Scenario {
     pub fn parse(s: &str) -> Option<Scenario> {
         match s {
             "fio" => Some(Scenario::FioRand),
+            "fio-seq" => Some(Scenario::FioSeq),
             "dbbench" => Some(Scenario::DbBench),
             "anon" => Some(Scenario::Anon),
             "anatomy" => Some(Scenario::Anatomy),
@@ -123,8 +128,9 @@ impl Scenario {
     }
 
     /// All scenario identifiers, for CLI help text.
-    pub const ALL_NAMES: [&'static str; 16] = [
+    pub const ALL_NAMES: [&'static str; 17] = [
         "fio",
+        "fio-seq",
         "dbbench",
         "ycsb-a",
         "ycsb-b",
@@ -702,10 +708,17 @@ mod tests {
 
     #[test]
     fn scenario_names_round_trip() {
-        for name in Scenario::ALL_NAMES {
-            let s = Scenario::parse(name).expect(name);
-            assert_eq!(s.name(), name);
+        let mut all = vec![Scenario::FioRand, Scenario::FioSeq, Scenario::DbBench];
+        all.extend(YcsbKind::ALL.map(Scenario::Ycsb));
+        all.push(Scenario::Anon);
+        all.extend(SmtPartner::ALL.map(Scenario::SmtCorun));
+        all.push(Scenario::Anatomy);
+        for s in &all {
+            assert_eq!(Scenario::parse(s.name()), Some(*s), "{}", s.name());
         }
+        // ALL_NAMES lists every value's name, once each.
+        let names: Vec<&str> = all.iter().map(|s| s.name()).collect();
+        assert_eq!(names, Scenario::ALL_NAMES);
         assert!(Scenario::parse("nope").is_none());
     }
 

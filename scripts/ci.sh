@@ -41,6 +41,13 @@ fi
 echo "== tier-1: build =="
 cargo build --release --workspace --offline
 
+echo "== repro: EXPERIMENTS.md tables regenerate unchanged =="
+# EXPERIMENTS.md records a reference run of every paper table; each table
+# is a pure function of its scale and seed, so any byte of difference is
+# a real change in simulated behaviour (takes about a second).
+./target/release/repro --markdown | diff - <(sed -n '/^### fig01/,$p' EXPERIMENTS.md)
+echo "repro: tables match EXPERIMENTS.md byte for byte"
+
 echo "== static analysis: hwdp lint =="
 # Determinism, panic-policy, and semantic-contract gate (crates/lint):
 # token rules, unit-mix time dataflow, metric-key registry sync, and
